@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lqr_core, matlin
-from .errors import NotInSigmaSet, NotStabilizing
+from .errors import NotStabilizing
 from .lqr_core import SystemInstance, ValueSolution
 
 
@@ -79,25 +79,16 @@ def bellman_gradient(sys: SystemInstance, k) -> BellmanGradient:
         raise NotStabilizing("gradient is only defined for stabilizing gains")
     a_k = lqr_core.closed_loop(sys, k)
     p = lqr_core.solve_value_lyapunov(sys, k).p
-    grad, x, a_tilde = _gradient_pieces(sys, k, a_k, p, fast=False)
+    grad, x, a_tilde = _gradient_pieces(sys, k, a_k, p)
     return BellmanGradient(grad=grad, x_matrix=x, a_tilde=a_tilde)
 
 
-def _gradient_pieces(sys, k, a_k, p, fast: bool):
-    a_tilde = sys.a - sys.b @ _r_solve(sys, sys.b.T @ p, fast)
-    load = matlin.sym_part(a_tilde)
-    if fast:
-        x = matlin.sym_part(lqr_core._lyap_fast(a_k, load))
-    else:
-        x = matlin.sym_part(lqr_core.lyapunov_solve(a_k, load))
+def _gradient_pieces(sys, k, a_k, p):
+    """(grad e_K, X_K, A~) from the closed loop a_k and the value matrix p."""
+    a_tilde = sys.a - sys.b @ matlin.solve_linear(sys.r, sys.b.T @ p)
+    x = matlin.sym_part(lqr_core.lyapunov_solve(a_k, matlin.sym_part(a_tilde)))
     grad = -4.0 * (sys.r @ k - sys.b.T @ p) @ x
     return grad, x, a_tilde
-
-
-def _r_solve(sys, rhs, fast: bool):
-    if fast:
-        return np.linalg.solve(sys.r, rhs)
-    return matlin.solve_linear(sys.r, rhs)
 
 
 def bellman_error_closed_form_2d(k1: float, k2: float) -> float:

@@ -20,22 +20,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bellman, flow, lqr_core, matlin
-from .errors import GainflowError, GenerationFailure, SamplingFailure
+from . import bellman, flow, lqr_core
+from .errors import GainflowError, GenerationFailure, NoConvergence, SamplingFailure
 from .flow import FlowConfig, FlowTrajectory
 from .lqr_core import SystemInstance
-from .matlin import TOL
 
 RHO_TARGET = 1e-6
 
 DEFAULT_TIME_GRID = tuple(float(x) for x in np.linspace(0.0, 25.0, 101))
 
 # Per-flow integration settings for benchmark runs. Each horizon covers its
-# flow's own convergence scale: the two fast flows finish decaying by
-# t ~ 12-22 on admissible 2x2 instances and integrating further only
-# accumulates samples at the gradient's floating-point noise floor, while
-# the slow plain-cost baseline needs a longer window to pull the gain
-# residual below the 1e-6 target.
+# flow's own convergence scale: the two fast flows bring the gain residual
+# below the 1e-6 target by t ~ 12-22 on admissible 2x2 instances (Bellman
+# runs cut at t_max still have falling gradient norms of 1e-8 to 7e-8, not
+# a noise floor), while the slow plain-cost baseline needs a longer window
+# to pull the gain residual below the 1e-6 target.
 _BENCH_FLOW = {
     "bellman": dict(rtol=1e-8, atol=1e-10, grad_tol=1e-8, t_max=25.0),
     "lqr": dict(rtol=1e-8, atol=1e-10, grad_tol=1e-8, t_max=60.0),
@@ -143,30 +142,20 @@ def sample_stabilizing_gain(sys: SystemInstance, rng: np.random.Generator) -> np
     """First standard-normal gain draw whose closed loop is Hurwitz with
     abscissa below -1e-6 (cap 1e5 draws).
 
-    Draws come in batches of 1000 (identical stream order to one-at-a-time
-    sampling, so the accepted gain is the same); the 2x2 single-input case
-    tests the abscissa through the closed-form trace/determinant quadratic.
+    Draws come in batches of 1000 with one batched eigenvalue call each; the
+    stream order is that of one-at-a-time sampling, so the accepted gain is
+    the same.
     """
     cap, batch = 100_000, 1000
-    if sys.n == 2 and sys.m == 1:
-        a, b = sys.a, sys.b
-        for _ in range(cap // batch):
-            ks = rng.standard_normal((batch, 2))
-            a11 = a[0, 0] - b[0, 0] * ks[:, 0]
-            a12 = a[0, 1] - b[0, 0] * ks[:, 1]
-            a21 = a[1, 0] - b[1, 0] * ks[:, 0]
-            a22 = a[1, 1] - b[1, 0] * ks[:, 1]
-            tr = a11 + a22
-            disc = tr * tr - 4.0 * (a11 * a22 - a12 * a21)
-            abscissa = np.where(disc >= 0.0, 0.5 * (tr + np.sqrt(np.maximum(disc, 0.0))), 0.5 * tr)
-            hits = np.nonzero(abscissa < -1e-6)[0]
-            if hits.size:
-                return ks[hits[0]].reshape(1, 2).copy()
-        raise SamplingFailure("no stabilizing gain in 1e5 draws")
-    for _ in range(cap):
-        k = rng.standard_normal((sys.m, sys.n))
-        if matlin.spectrum(sys.a - sys.b @ k).abscissa < -1e-6:
-            return k
+    for _ in range(cap // batch):
+        ks = rng.standard_normal((batch, sys.m, sys.n))
+        try:
+            eigs = np.linalg.eigvals(sys.a - sys.b @ ks)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+        hits = np.nonzero(eigs.real.max(axis=1) < -1e-6)[0]
+        if hits.size:
+            return ks[hits[0]].copy()
     raise SamplingFailure("no stabilizing gain in 1e5 draws")
 
 
@@ -289,9 +278,8 @@ def grid_eval(sys: SystemInstance, k1_range, k2_range, resolution,
     for i, k1 in enumerate(k1s):
         for j, k2 in enumerate(k2s):
             k = np.array([[k1, k2]])
-            eigs = matlin.spectrum(sys.a - sys.b @ k).eigenvalues
-            stable[i, j] = eigs.real.max() < -TOL.stability_margin
-            if np.abs(eigs[:, None] + eigs[None, :]).min() <= TOL.sigma_margin:
+            _, stable[i, j], in_sigma = lqr_core.gain_domain(sys, k)
+            if not in_sigma:
                 continue
             try:
                 if objective == "bellman":

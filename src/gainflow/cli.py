@@ -5,7 +5,8 @@ flow (trajectory integration to CSV), grid (2-d objective grid to CSV), and
 bench (the comparative convergence study).
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 domain or
-precondition error, 4 numerical failure. Structured results go to standard
+precondition error, 4 numerical failure; an output path that cannot be
+written exits 2 with error OutputError. Structured results go to standard
 output as JSON; time and grid series go to CSV files. Every float is
 emitted with 17 significant digits so parsing the text recovers the exact
 binary value.
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bellman, bench, cost_flow, flow, lqr_core, matlin
-from .errors import GainflowError, NotInSigmaSet, NotStabilizing, SamplingFailure
+from . import bellman, bench, cost_flow, flow, lqr_core
+from .errors import GainflowError
 from .lqr_core import SystemInstance
 
 _INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError)
@@ -148,9 +149,7 @@ def cmd_eval(args) -> int:
         k = _parse_gain(args.k, sys_.m, sys_.n)
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
-    in_k = lqr_core.in_stabilizing_set(sys_, k)
-    in_k_sigma = lqr_core.in_sigma_set(sys_, k)
-    abscissa = matlin.spectrum(lqr_core.closed_loop(sys_, k)).abscissa
+    abscissa, in_k, in_k_sigma = lqr_core.gain_domain(sys_, k)
     out: dict = {}
     try:
         if args.objective == "bellman":
@@ -286,9 +285,9 @@ def cmd_bench(args) -> int:
         config = bench.BenchConfig(**data)
     except (*_INPUT_ERRORS, TypeError) as exc:
         return _fail(2, "InputError", exc)
-    result = bench.run_benchmark(config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the study, not after it
+    result = bench.run_benchmark(config)
     grid = list(config.time_grid)
     for record in result.records:
         _write_text(out_dir / f"instance_{record.instance_id:04d}.csv",
@@ -388,7 +387,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # commands map their input errors, so this is output
+        return _fail(2, "OutputError", exc)
 
 
 if __name__ == "__main__":

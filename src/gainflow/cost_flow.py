@@ -48,16 +48,14 @@ def lqr_cost(sys: SystemInstance, k, sigma0=None) -> CostEval:
         raise NotStabilizing("the cost is finite only for stabilizing gains")
     s = _check_sigma0(sys, sigma0)
     sol = lqr_core.solve_value_lyapunov(sys, k)
-    a_k = lqr_core.closed_loop(sys, k)
-    y = matlin.sym_part(lqr_core.lyapunov_solve(a_k, s))
+    y = _gramian(lqr_core.closed_loop(sys, k), s)
     return CostEval(f=float(np.trace(sol.p @ s)), p=sol, y_matrix=y, sigma0=s)
 
 
 def lqr_gradient(sys: SystemInstance, k, sigma0=None) -> np.ndarray:
     """Gradient of the cost: 2 (R K - B^T P_K) Y_K."""
     ce = lqr_cost(sys, k, sigma0)
-    k = lqr_core.as_gain(sys, k)
-    return 2.0 * (sys.r @ k - sys.b.T @ ce.p.p) @ ce.y_matrix
+    return _cost_gradient(sys, lqr_core.as_gain(sys, k), ce.p.p, ce.y_matrix)
 
 
 def natural_gradient(sys: SystemInstance, k, sigma0=None, gamma: float = 1.0) -> np.ndarray:
@@ -69,18 +67,25 @@ def natural_gradient(sys: SystemInstance, k, sigma0=None, gamma: float = 1.0) ->
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     ce = lqr_cost(sys, k, sigma0)
-    k = lqr_core.as_gain(sys, k)
-    grad = 2.0 * (sys.r @ k - sys.b.T @ ce.p.p) @ ce.y_matrix
-    return _precondition(grad, ce.y_matrix, gamma, fast=False)
+    grad = _cost_gradient(sys, lqr_core.as_gain(sys, k), ce.p.p, ce.y_matrix)
+    return _precondition(grad, ce.y_matrix, gamma)
 
 
-def _precondition(grad: np.ndarray, y: np.ndarray, gamma: float, fast: bool) -> np.ndarray:
+def _gramian(a_k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Y_K from A_K Y + Y A_K^T + S = 0, symmetrized."""
+    return matlin.sym_part(lqr_core.lyapunov_solve(a_k, s))
+
+
+def _cost_gradient(sys: SystemInstance, k: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2 (R K - B^T P_K) Y_K."""
+    return 2.0 * (sys.r @ k - sys.b.T @ p) @ y
+
+
+def _precondition(grad: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     w = np.linalg.eigvalsh(y)
     if float(w.min()) <= 1e-12:
         raise NotPD("Gramian is not positive definite")
     if gamma == 1.0:
-        if fast:
-            return np.linalg.solve(y, grad.T).T
         return matlin.solve_linear(y, grad.T).T
     w, v = np.linalg.eigh(y)
     return grad @ (v * w ** (-gamma)) @ v.T

@@ -15,11 +15,11 @@ the optimum is an oracle-only quantity the integrator never sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cost_flow, lqr_core, matlin
+from . import bellman, cost_flow, lqr_core, matlin
 from .errors import DegenerateStart, NotPD, NotStabilizing, SingularMatrix
 from .lqr_core import SystemInstance
 from .matlin import TOL
@@ -95,27 +95,23 @@ class _StepReject(Exception):
 
 
 def _point_eval(sys: SystemInstance, k: np.ndarray, config: FlowConfig):
-    """(rhs, grad_norm, objective) at one gain, via the fast solver path.
+    """(rhs, grad_norm, objective) at one gain, through the same value,
+    gradient and objective helpers as the public functions.
 
-    Evaluates the formulas as written, without stability checks; callers
-    relying on the stabilizing-set precondition must test it themselves.
+    Skips the stabilizing-set test; callers relying on that precondition
+    must make it themselves. Singular value equations raise SingularMatrix.
     """
     a_k = sys.a - sys.b @ k
-    load = sys.q + k.T @ (sys.r @ k)
-    p = matlin.sym_part(lqr_core._lyap_fast(a_k.T, load))
-    bt_p = sys.b.T @ p
+    p = matlin.sym_part(lqr_core._value_equation(sys, k, a_k)[0])
     if config.kind == "bellman":
-        rinv_btp = np.linalg.solve(sys.r, bt_p)
-        a_tilde = sys.a - sys.b @ rinv_btp
-        x = matlin.sym_part(lqr_core._lyap_fast(a_k, matlin.sym_part(a_tilde)))
-        grad = -4.0 * (sys.r @ k - bt_p) @ x
-        objective = float(-np.trace(sys.a.T @ p + p @ sys.a - bt_p.T @ rinv_btp + sys.q))
+        grad = bellman._gradient_pieces(sys, k, a_k, p)[0]
+        objective = float(-np.trace(lqr_core.care_residual(sys, p)))
         rhs = -config.beta * grad
     else:
-        y = matlin.sym_part(lqr_core._lyap_fast(a_k, np.eye(sys.n)))
-        grad = 2.0 * (sys.r @ k - bt_p) @ y
+        y = cost_flow._gramian(a_k, np.eye(sys.n))
+        grad = cost_flow._cost_gradient(sys, k, p, y)
         if config.kind == "natural":
-            grad = cost_flow._precondition(grad, y, config.gamma, fast=True)
+            grad = cost_flow._precondition(grad, y, config.gamma)
         objective = float(np.trace(p))
         rhs = -grad
     if not np.all(np.isfinite(rhs)):

@@ -166,29 +166,46 @@ def check_assumptions(sys: SystemInstance) -> AssumptionReport:
     return AssumptionReport(stabilizable=stabilizable, detectable=detectable)
 
 
+def gain_domain(sys: SystemInstance, k) -> tuple[float, bool, bool]:
+    """(abscissa, in stabilizing set, in sigma set) of gain k, all read from
+    one closed-loop spectrum."""
+    sp = matlin.spectrum(closed_loop(sys, k))
+    sums = np.abs(sp.eigenvalues[:, None] + sp.eigenvalues[None, :])
+    return sp.abscissa, sp.abscissa < -TOL.stability_margin, float(sums.min()) > TOL.sigma_margin
+
+
 def in_stabilizing_set(sys: SystemInstance, k) -> bool:
     """True when A - B K is Hurwitz with margin: abscissa < -1e-9."""
-    return matlin.spectrum(closed_loop(sys, k)).abscissa < -TOL.stability_margin
+    return gain_domain(sys, k)[1]
 
 
 def in_sigma_set(sys: SystemInstance, k) -> bool:
     """True when no two closed-loop eigenvalues sum to zero (within 1e-9),
     i.e. the spectrum does not meet its negation and the value equation is
     uniquely solvable."""
-    eigs = matlin.spectrum(closed_loop(sys, k)).eigenvalues
-    sums = np.abs(eigs[:, None] + eigs[None, :])
-    return float(sums.min()) > TOL.sigma_margin
+    return gain_domain(sys, k)[2]
 
 
 def lyapunov_solve(a, load) -> np.ndarray:
     """Solve A X + X A^T + L = 0 through the Kronecker system
-    (I (x) A + A (x) I) vec(X) = -vec(L)."""
+    (I (x) A + A (x) I) vec(X) = -vec(L), with the pivot-checked LU solve
+    (SingularMatrix when A and -A share an eigenvalue, numerically)."""
     a = matlin.as_matrix(a, "a")
     load = matlin.as_matrix(load, "load")
     n = a.shape[0]
     eye = np.eye(n)
-    coeff = np.kron(eye, a) + np.kron(a, eye)
-    return matlin.unvec(matlin.solve_linear(coeff, -matlin.vec(load)), n, n)
+    # entry (i*n + p, j*n + q) is eye[i, j] a[p, q] + a[i, j] eye[p, q]
+    coeff = (eye[:, None, :, None] * a[None, :, None, :]
+             + a[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
+    x = matlin.solve_linear(coeff, -load.ravel(order="F"))
+    return x.reshape((n, n), order="F")
+
+
+def _value_equation(sys: SystemInstance, k: np.ndarray, a_k: np.ndarray):
+    """(raw solution, load) of A_K^T P + P A_K + Q + K^T R K = 0; the raw
+    solution is not yet symmetrized."""
+    load = sys.q + k.T @ sys.r @ k
+    return lyapunov_solve(a_k.T, load), load
 
 
 def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
@@ -202,8 +219,7 @@ def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
     if not in_sigma_set(sys, k):
         raise NotInSigmaSet("closed-loop spectrum meets its negation")
     a_k = closed_loop(sys, k)
-    load = sys.q + k.T @ sys.r @ k
-    raw = lyapunov_solve(a_k.T, load)
+    raw, load = _value_equation(sys, k, a_k)
     defect = float(np.linalg.norm(raw - raw.T))
     p = matlin.sym_part(raw)
     residual = float(np.linalg.norm(a_k.T @ p + p @ a_k + load))
@@ -239,24 +255,3 @@ def kleinman(sys: SystemInstance, k0, tol: float = 1e-10, max_iter: int = 50) ->
             raise NotStabilizing(f"iterate {i} left the stabilizing set")
         k = k_next
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations (residual {history[-1]:.3e})")
-
-
-# Internal fast path for the flow integrator: same LU-with-partial-pivoting
-# contract, but without the explicit pivot scan; numpy's failure maps onto
-# SingularMatrix and non-finite output is rejected by the caller.
-def _lyap_fast(a, load) -> np.ndarray:
-    n = a.shape[0]
-    eye = np.eye(n)
-    coeff = np.kron(eye, a) + np.kron(a, eye)
-    try:
-        x = np.linalg.solve(coeff, -load.ravel(order="F"))
-    except np.linalg.LinAlgError as exc:
-        from .errors import SingularMatrix
-
-        raise SingularMatrix(str(exc)) from exc
-    return x.reshape((n, n), order="F")
-
-
-def _value_matrix_fast(sys: SystemInstance, k: np.ndarray, a_k: np.ndarray) -> np.ndarray:
-    load = sys.q + k.T @ sys.r @ k
-    return matlin.sym_part(_lyap_fast(a_k.T, load))

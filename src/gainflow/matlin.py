@@ -1,5 +1,5 @@
-"""Dense real-matrix kernel: Kronecker products, vectorization, linear solves,
-eigenvalues, and definiteness tests.
+"""Dense real-matrix kernel: pivot-checked linear solves, eigenvalues, and
+definiteness tests.
 
 Matrices are plain 2-d float64 numpy arrays. All functions are pure and never
 mutate their arguments; non-finite entries are rejected at the door.
@@ -7,11 +7,10 @@ mutate their arguments; non-finite entries are rejected at the door.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NoConvergence, NotSymmetric, SingularMatrix
 
@@ -71,24 +70,6 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
-def vec(a) -> np.ndarray:
-    """Stack the columns of a into one vector (column-major ravel)."""
-    return as_matrix(a, "a").ravel(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec: rebuild a rows x cols matrix column by column."""
-    w = np.asarray(v, dtype=float).ravel()
-    if w.size != rows * cols:
-        raise ValueError(f"cannot unvec {w.size} entries into {rows}x{cols}")
-    return w.reshape((rows, cols), order="F").copy()
-
-
 def solve_linear(m, rhs, tol: Tolerances = TOL) -> np.ndarray:
     """Solve m x = rhs by LU with partial pivoting.
 
@@ -101,17 +82,21 @@ def solve_linear(m, rhs, tol: Tolerances = TOL) -> np.ndarray:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
-    with warnings.catch_warnings():
-        # the pivot scan below is the authoritative singularity check
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    if a.size == 0:
+        raise SingularMatrix("empty matrix")
+    # LAPACK dgetrf/dgetrs, as scipy.linalg.lu_factor/lu_solve call them; an
+    # exactly zero pivot (info > 0) is left to the pivot scan below
+    lu, piv, info = lapack.dgetrf(a)
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal argument {-info}")
     pivots = np.abs(np.diag(lu))
-    threshold = tol.pivot_rel * (np.abs(a).max() if a.size else 0.0)
-    if a.size == 0 or pivots.min() <= threshold:
-        raise SingularMatrix(
-            f"pivot {pivots.min() if a.size else 0.0:.3e} below threshold {threshold:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    threshold = tol.pivot_rel * np.abs(a).max()
+    if pivots.min() <= threshold:
+        raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+    x, info = lapack.dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"dgetrs: illegal argument {-info}")
+    return x
 
 
 def spectrum(a) -> Spectrum:

@@ -1,12 +1,14 @@
 """Benchmark harness: deterministic sampling, record invariants, and the
 2-d grid evaluator."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from gainflow import bellman, bench, flow, lqr_core, matlin
 from gainflow.bench import BenchConfig
-from gainflow.errors import GainflowError
+from gainflow.errors import GainflowError, SamplingFailure
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,22 @@ class TestSampleStabilizingGain:
                                        q=np.eye(2), r=[[1.0]])
         k = bench.sample_stabilizing_gain(sys_, np.random.default_rng(3))
         assert lqr_core.in_stabilizing_set(sys_, k)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+    def test_matches_one_at_a_time_reference(self, n, m):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sys_ = bench.random_instance(n, m, rng)
+            reference_rng = copy.deepcopy(rng)
+            try:
+                k = bench.sample_stabilizing_gain(sys_, rng)
+            except SamplingFailure:
+                continue
+            while True:
+                draw = reference_rng.standard_normal((m, n))
+                if matlin.spectrum(sys_.a - sys_.b @ draw).abscissa < -1e-6:
+                    break
+            assert np.array_equal(k, draw)
 
     def test_generic_shape_path(self):
         rng = np.random.default_rng(21)

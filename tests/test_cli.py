@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gainflow import cli, lqr_core
+from gainflow import bench, cli, lqr_core
 
 DEMO = {
     "n": 2, "m": 1,
@@ -30,6 +30,14 @@ def scalar_path(tmp_path):
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(SCALAR))
     return str(path)
+
+
+@pytest.fixture
+def unwritable(tmp_path):
+    """A path below a regular file: no process can create it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / "sub" / "out"
 
 
 def run(capsys, argv):
@@ -201,6 +209,13 @@ class TestFlow:
                                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    def test_unwritable_out_exits_2(self, capsys, demo_path, unwritable):
+        code, out, err = run(capsys, ["flow", demo_path, "--kind", "bellman",
+                                      "--k0", "0,0", "--out", str(unwritable)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutputError"
+
 
 class TestGrid:
     def test_demo_grid(self, capsys, demo_path, tmp_path):
@@ -231,6 +246,13 @@ class TestGrid:
         code, _, _ = run(capsys, ["grid", demo_path, "--k1", "0:1",
                                   "--k2", "0:1:2", "--out", str(tmp_path / "g.csv")])
         assert code == 2
+
+    def test_unwritable_out_exits_2(self, capsys, demo_path, unwritable):
+        code, out, err = run(capsys, ["grid", demo_path, "--k1=0:1:3", "--k2=0:1:3",
+                                      "--out", str(unwritable)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutputError"
 
 
 class TestBench:
@@ -291,6 +313,16 @@ class TestBench:
         path.write_text("[1, 2")
         code, _, _ = run(capsys, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_unwritable_out_exits_2_before_the_study(self, capsys, tmp_path, unwritable,
+                                                     monkeypatch):
+        monkeypatch.setattr(bench, "run_benchmark",
+                            lambda *args, **kwargs: pytest.fail("the study ran"))
+        cfg = self.write_config(tmp_path)
+        code, out, err = run(capsys, ["bench", "--config", cfg, "--out", str(unwritable)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutputError"
 
     def test_seed_flag_overrides(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, {"num_instances": 2, "seed": 1,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import helpers
-from gainflow import bellman, flow, lqr_core
-from gainflow.errors import DegenerateStart, NotStabilizing
+from gainflow import bellman, cost_flow, flow, lqr_core
+from gainflow.errors import DegenerateStart, NotStabilizing, SingularMatrix
 from gainflow.flow import FlowConfig
 
 
@@ -48,19 +48,34 @@ class TestFlowRhs:
             rhs = flow.flow_rhs(demo_sys, k_star, FlowConfig(kind=kind))
             assert np.linalg.norm(rhs) <= 1e-6
 
-    def test_matches_public_gradients(self, demo_sys):
-        from gainflow import cost_flow
+    @staticmethod
+    def assert_rhs_is_public_gradient(sys_, k):
+        # the flow evaluates through the public functions' helpers: bit for bit
+        assert np.array_equal(
+            flow.flow_rhs(sys_, k, FlowConfig(kind="lqr")),
+            -cost_flow.lqr_gradient(sys_, k))
+        assert np.array_equal(
+            flow.flow_rhs(sys_, k, FlowConfig(kind="natural", gamma=1.0)),
+            -cost_flow.natural_gradient(sys_, k, gamma=1.0))
+        assert np.array_equal(
+            flow.flow_rhs(sys_, k, FlowConfig(kind="bellman")),
+            -bellman.bellman_gradient(sys_, k).grad)
 
-        k = [[0.3, -0.2]]
-        assert np.allclose(
-            flow.flow_rhs(demo_sys, k, FlowConfig(kind="lqr")),
-            -cost_flow.lqr_gradient(demo_sys, k), atol=1e-12)
-        assert np.allclose(
-            flow.flow_rhs(demo_sys, k, FlowConfig(kind="natural", gamma=1.0)),
-            -cost_flow.natural_gradient(demo_sys, k, gamma=1.0), atol=1e-12)
-        assert np.allclose(
-            flow.flow_rhs(demo_sys, k, FlowConfig(kind="bellman")),
-            -bellman.bellman_gradient(demo_sys, k).grad, atol=1e-12)
+    def test_matches_public_gradients(self, demo_sys):
+        self.assert_rhs_is_public_gradient(demo_sys, [[0.3, -0.2]])
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_matches_public_gradients_on_random_instances(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        for _ in range(3):
+            sys_, k = helpers.stabilizing_pair(rng, n, m, identity_weights=False)
+            self.assert_rhs_is_public_gradient(sys_, k)
+
+    @pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+    def test_point_eval_raises_on_sigma_boundary(self, demo_sys, kind):
+        # A - B K has eigenvalues 0 and -2 here: the value equation is singular
+        with pytest.raises(SingularMatrix):
+            flow._point_eval(demo_sys, np.array([[0.3, -1.3]]), FlowConfig(kind=kind))
 
     def test_refuses_unstable_gain(self, demo_sys):
         with pytest.raises(NotStabilizing):

@@ -3,6 +3,7 @@ policy-iteration oracle."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 from gainflow import bellman, lqr_core, matlin
@@ -196,7 +197,12 @@ def test_demo_optimal_loop_is_stable(demo_sys):
 
 
 def test_lyapunov_solve_matches_kron_formula(rng):
-    a = rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
-    load = helpers.random_spd(rng, 3)
-    x = lqr_core.lyapunov_solve(a, load)
-    assert np.linalg.norm(a @ x + x @ a.T + load) <= 1e-9 * (1.0 + np.linalg.norm(x))
+    # a nonsymmetric load pins the Kronecker and column-stacking layout
+    for n in range(1, 7):
+        a = rng.standard_normal((n, n))
+        a -= (max(0.0, matlin.spectrum(a).abscissa) + 1.0) * np.eye(n)
+        load = rng.standard_normal((n, n))
+        x = lqr_core.lyapunov_solve(a, load)
+        assert np.linalg.norm(a @ x + x @ a.T + load) <= 1e-9 * (1.0 + np.linalg.norm(x))
+        reference = scipy.linalg.solve_continuous_lyapunov(a, -load)
+        assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)

@@ -11,59 +11,6 @@ from gainflow.errors import NotSymmetric, SingularMatrix
 dims = st.integers(min_value=1, max_value=5)
 
 
-def test_kron_identity_left():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matlin.kron(np.eye(1), a), a)
-
-
-def test_kron_hand_block():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    expected = np.array(
-        [
-            [1.0, 0.0, 2.0, 0.0],
-            [0.0, 1.0, 0.0, 2.0],
-            [3.0, 0.0, 4.0, 0.0],
-            [0.0, 3.0, 0.0, 4.0],
-        ]
-    )
-    assert np.array_equal(matlin.kron(a, np.eye(2)), expected)
-
-
-def test_kron_zero():
-    b = np.arange(6.0).reshape(3, 2) + 1.0
-    out = matlin.kron(np.zeros((2, 2)), b)
-    assert out.shape == (6, 4)
-    assert not out.any()
-
-
-def test_vec_hand():
-    assert np.array_equal(matlin.vec([[1.0, 2.0], [3.0, 4.0]]), [1.0, 3.0, 2.0, 4.0])
-    assert np.array_equal(matlin.vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-
-
-@given(rows=dims, cols=dims, seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_vec_unvec_round_trip(rows, cols, seed):
-    a = np.random.default_rng(seed).standard_normal((rows, cols))
-    assert np.array_equal(matlin.unvec(matlin.vec(a), rows, cols), a)
-
-
-def test_unvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matlin.unvec([1.0, 2.0, 3.0], 2, 2)
-
-
-def test_vec_of_triple_product(rng):
-    # vec(A B C) = (C^T kron A) vec(B)
-    for _ in range(25):
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4))
-        c = rng.standard_normal((4, 3))
-        lhs = matlin.vec(a @ b @ c)
-        rhs = matlin.kron(c.T, a) @ matlin.vec(b)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
-
-
 def test_solve_identity():
     b = np.array([[1.0], [2.0], [3.0]])
     assert np.allclose(matlin.solve_linear(np.eye(3), b), b)
