@@ -78,9 +78,16 @@ def bellman_gradient(sys: SystemInstance, k) -> BellmanGradient:
     if not lqr_core.in_stabilizing_set(sys, k):
         raise NotStabilizing("gradient is only defined for stabilizing gains")
     a_k = lqr_core.closed_loop(sys, k)
-    p = lqr_core.solve_value_lyapunov(sys, k).p
+    p = lqr_core._value_solution(sys, k).p  # stabilizing, so in the sigma set
     grad, x, a_tilde = _gradient_pieces(sys, k, a_k, p)
     return BellmanGradient(grad=grad, x_matrix=x, a_tilde=a_tilde)
+
+
+def _error_value(sys: SystemInstance, p: np.ndarray):
+    """e_K = -tr(M_K) from the value matrix P_K, or per slice of a (B, n, n)
+    stack; equals bellman_error(...).e bit for bit (the diagonal of the
+    symmetric part is the diagonal itself)."""
+    return -np.trace(lqr_core.care_residual(sys, p), axis1=-2, axis2=-1)
 
 
 def _gradient_pieces(sys, k, a_k, p):

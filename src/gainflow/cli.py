@@ -15,8 +15,8 @@ binary value.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import sys as _sys
 from pathlib import Path
 
@@ -30,13 +30,9 @@ _INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError)
 
 
 def fmt_float(x: float) -> str:
-    """17-significant-digit decimal text; round-trips float64 exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17-significant-digit decimal text; round-trips float64 exactly
+    (non-finite values read nan, inf and -inf)."""
+    return format(float(x), ".17g")
 
 
 def _emit_json(value) -> str:
@@ -239,15 +235,14 @@ def cmd_grid(args) -> int:
         return _fail(3, "DomainError", "grid evaluation needs n = 2, m = 1")
     result = bench.grid_eval(sys_, (k1_lo, k1_hi), (k2_lo, k2_hi), (n1, n2),
                              objective=args.objective)
+    # each axis value is formatted once; rows run over k1, then k2
+    k1_text, k2_text = (list(map(fmt_float, axis.tolist())) for axis in (result.k1, result.k2))
     lines = ["k1,k2,value,stable"]
-    for i, k1 in enumerate(result.k1):
-        for j, k2 in enumerate(result.k2):
-            lines.append(",".join([
-                fmt_float(k1), fmt_float(k2),
-                fmt_float(result.values[i, j]),
-                "1" if result.stable[i, j] else "0",
-            ]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    lines += [f"{k1},{k2},{value},{int(stable)}" for (k1, k2), value, stable in zip(
+        itertools.product(k1_text, k2_text), map(fmt_float, result.values.ravel().tolist()),
+        result.stable.ravel().tolist())]
+    lines.append("")  # the text ends with a newline, without a second copy of it
+    _write_text(args.out, "\n".join(lines))
     singular = int(np.isnan(result.values).sum())
     _print({"csv": str(args.out), "cells": int(result.values.size), "singular_cells": singular})
     return 0

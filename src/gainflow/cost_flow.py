@@ -47,7 +47,7 @@ def lqr_cost(sys: SystemInstance, k, sigma0=None) -> CostEval:
     if not lqr_core.in_stabilizing_set(sys, k):
         raise NotStabilizing("the cost is finite only for stabilizing gains")
     s = _check_sigma0(sys, sigma0)
-    sol = lqr_core.solve_value_lyapunov(sys, k)
+    sol = lqr_core._value_solution(sys, k)  # stabilizing, so in the sigma set
     y = _gramian(lqr_core.closed_loop(sys, k), s)
     return CostEval(f=float(np.trace(sol.p @ s)), p=sol, y_matrix=y, sigma0=s)
 

@@ -105,7 +105,7 @@ def _point_eval(sys: SystemInstance, k: np.ndarray, config: FlowConfig):
     p = matlin.sym_part(lqr_core._value_equation(sys, k, a_k)[0])
     if config.kind == "bellman":
         grad = bellman._gradient_pieces(sys, k, a_k, p)[0]
-        objective = float(-np.trace(lqr_core.care_residual(sys, p)))
+        objective = float(bellman._error_value(sys, p))
         rhs = -config.beta * grad
     else:
         y = cost_flow._gramian(a_k, np.eye(sys.n))

@@ -13,6 +13,11 @@ which this module solves through the n^2 x n^2 Kronecker system
 
 deliberately keeping the vectorized construction rather than a
 Bartels-Stewart factorization: all systems here are desk scale (n <= 10).
+
+gain_domain, lyapunov_solve, care_residual and value_matrices also take
+stacks over a leading axis, gains of shape (B, m, n); each slice gets the
+same arithmetic as a lone gain, so stacked and one-at-a-time results agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -124,8 +129,16 @@ def demo_system() -> SystemInstance:
 
 def as_gain(sys: SystemInstance, k) -> np.ndarray:
     """Validate an m x n feedback gain for this instance."""
-    g = matlin.as_matrix(k, "k")
-    if g.shape != (sys.m, sys.n):
+    g = _as_gains(sys, k)
+    if g.ndim != 2:
+        raise ValueError(f"gain must be {sys.m} x {sys.n}, got {g.shape}")
+    return g
+
+
+def _as_gains(sys: SystemInstance, k) -> np.ndarray:
+    """Validate one m x n gain or a (B, m, n) stack of gains."""
+    g = matlin.as_stack(k, "k")
+    if g.shape[-2:] != (sys.m, sys.n):
         raise ValueError(f"gain must be {sys.m} x {sys.n}, got {g.shape}")
     return g
 
@@ -166,12 +179,21 @@ def check_assumptions(sys: SystemInstance) -> AssumptionReport:
     return AssumptionReport(stabilizable=stabilizable, detectable=detectable)
 
 
-def gain_domain(sys: SystemInstance, k) -> tuple[float, bool, bool]:
+def gain_domain(sys: SystemInstance, k):
     """(abscissa, in stabilizing set, in sigma set) of gain k, all read from
-    one closed-loop spectrum."""
-    sp = matlin.spectrum(closed_loop(sys, k))
-    sums = np.abs(sp.eigenvalues[:, None] + sp.eigenvalues[None, :])
-    return sp.abscissa, sp.abscissa < -TOL.stability_margin, float(sums.min()) > TOL.sigma_margin
+    one closed-loop spectrum; for a (B, m, n) stack, three (B,) arrays from
+    one batched spectrum.
+
+    A stabilizing gain is always in the sigma set: every eigenvalue has real
+    part below -1e-9, so |lambda_i + lambda_j| >= 2e-9 > sigma_margin.
+    """
+    k = _as_gains(sys, k)
+    eigs = matlin.spectrum(sys.a - sys.b @ k)
+    sums = np.abs(eigs.eigenvalues[..., :, None] + eigs.eigenvalues[..., None, :])
+    in_sigma = sums.min(axis=(-2, -1)) > TOL.sigma_margin
+    if k.ndim == 2:
+        in_sigma = bool(in_sigma)
+    return eigs.abscissa, eigs.abscissa < -TOL.stability_margin, in_sigma
 
 
 def in_stabilizing_set(sys: SystemInstance, k) -> bool:
@@ -186,26 +208,38 @@ def in_sigma_set(sys: SystemInstance, k) -> bool:
     return gain_domain(sys, k)[2]
 
 
-def lyapunov_solve(a, load) -> np.ndarray:
+def lyapunov_solve(a, load):
     """Solve A X + X A^T + L = 0 through the Kronecker system
     (I (x) A + A (x) I) vec(X) = -vec(L), with the pivot-checked LU solve
-    (SingularMatrix when A and -A share an eigenvalue, numerically)."""
-    a = matlin.as_matrix(a, "a")
-    load = matlin.as_matrix(load, "load")
-    n = a.shape[0]
+    (SingularMatrix when A and -A share an eigenvalue, numerically).
+
+    For (B, n, n) stacks of A and L, returns (X, singular) as
+    matlin.solve_linear does: flagged slices of X are NaN.
+    """
+    a = matlin.as_stack(a, "a")
+    load = matlin.as_stack(load, "load")
+    if a.shape != load.shape or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"a {a.shape} and load {load.shape} must be square and of one shape")
+    n = a.shape[-1]
     eye = np.eye(n)
     # entry (i*n + p, j*n + q) is eye[i, j] a[p, q] + a[i, j] eye[p, q]
-    coeff = (eye[:, None, :, None] * a[None, :, None, :]
-             + a[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
-    x = matlin.solve_linear(coeff, -load.ravel(order="F"))
-    return x.reshape((n, n), order="F")
+    coeff = (eye[:, None, :, None] * a[..., None, :, None, :]
+             + a[..., :, None, :, None] * eye[None, :, None, :])
+    coeff = coeff.reshape(a.shape[:-2] + (n * n, n * n))
+    # vec stacks columns: vec(L) is the row-major ravel of L^T
+    rhs = -load.swapaxes(-1, -2).reshape(load.shape[:-2] + (n * n,))
+    if a.ndim == 2:
+        return matlin.solve_linear(coeff, rhs).reshape((n, n)).T
+    x, singular = matlin.solve_linear(coeff, rhs)
+    return x.reshape(x.shape[:1] + (n, n)).swapaxes(-1, -2), singular
 
 
 def _value_equation(sys: SystemInstance, k: np.ndarray, a_k: np.ndarray):
-    """(raw solution, load) of A_K^T P + P A_K + Q + K^T R K = 0; the raw
+    """(raw solution, load) of A_K^T P + P A_K + Q + K^T R K = 0 for one
+    gain, or for a stack with the raw solution as (X, singular); the raw
     solution is not yet symmetrized."""
-    load = sys.q + k.T @ sys.r @ k
-    return lyapunov_solve(a_k.T, load), load
+    load = sys.q + k.swapaxes(-1, -2) @ sys.r @ k
+    return lyapunov_solve(a_k.swapaxes(-1, -2), load), load
 
 
 def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
@@ -218,7 +252,14 @@ def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
     k = as_gain(sys, k)
     if not in_sigma_set(sys, k):
         raise NotInSigmaSet("closed-loop spectrum meets its negation")
-    a_k = closed_loop(sys, k)
+    return _value_solution(sys, k)
+
+
+def _value_solution(sys: SystemInstance, k: np.ndarray) -> ValueSolution:
+    """solve_value_lyapunov for a validated gain whose sigma-set membership
+    the caller has already established (a stabilizing gain is always in
+    it); the pivot check still applies."""
+    a_k = sys.a - sys.b @ k
     raw, load = _value_equation(sys, k, a_k)
     defect = float(np.linalg.norm(raw - raw.T))
     p = matlin.sym_part(raw)
@@ -227,10 +268,28 @@ def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
 
 
 def care_residual(sys: SystemInstance, p) -> np.ndarray:
-    """A^T P + P A - P B R^{-1} B^T P + Q, exactly as written."""
-    p = matlin.as_matrix(p, "p")
+    """A^T P + P A - P B R^{-1} B^T P + Q, exactly as written, for one P or
+    a (B, n, n) stack."""
+    p = matlin.as_stack(p, "p")
     bt_p = sys.b.T @ p
-    return sys.a.T @ p + p @ sys.a - bt_p.T @ matlin.solve_linear(sys.r, bt_p) + sys.q
+    return (sys.a.T @ p + p @ sys.a
+            - bt_p.swapaxes(-1, -2) @ matlin.solve_linear(sys.r, bt_p) + sys.q)
+
+
+def value_matrices(sys: SystemInstance, k) -> tuple[np.ndarray, np.ndarray]:
+    """Value matrices of a (B, m, n) stack of gains: (P, singular), where
+    P[i] is solve_value_lyapunov(sys, k[i]).p bit for bit and singular[i]
+    flags a value equation the pivot check rejects (P[i] is NaN there).
+
+    Sigma-set membership is not checked here; take it from gain_domain.
+    """
+    k = _as_gains(sys, k)
+    if k.ndim != 3:
+        raise ValueError(f"value_matrices needs a (B, m, n) stack, got shape {k.shape}")
+    (raw, singular), _ = _value_equation(sys, k, sys.a - sys.b @ k)
+    p = np.full(raw.shape, np.nan)
+    p[~singular] = matlin.sym_part(raw[~singular])
+    return p, singular
 
 
 def kleinman(sys: SystemInstance, k0, tol: float = 1e-10, max_iter: int = 50) -> KleinmanResult:

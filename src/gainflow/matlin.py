@@ -1,8 +1,10 @@
 """Dense real-matrix kernel: pivot-checked linear solves, eigenvalues, and
 definiteness tests.
 
-Matrices are plain 2-d float64 numpy arrays. All functions are pure and never
-mutate their arguments; non-finite entries are rejected at the door.
+Matrices are plain 2-d float64 numpy arrays; solve_linear, spectrum and
+sym_part also take (B, N, N) stacks over a leading axis and treat each slice
+exactly as they treat one matrix. All functions are pure and never mutate
+their arguments; non-finite entries are rejected at the door.
 """
 
 from __future__ import annotations
@@ -59,33 +61,82 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {m.shape}")
+    return as_stack(m, name)
+
+
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-d float64 matrix or a 3-d stack of them, rejecting
+    non-finite entries."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"{name} must be 2-d or a 3-d stack, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def _require_square(m: np.ndarray, name: str) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
-def solve_linear(m, rhs, tol: Tolerances = TOL) -> np.ndarray:
+def solve_linear(m, rhs, tol: Tolerances = TOL):
     """Solve m x = rhs by LU with partial pivoting.
 
-    Raises SingularMatrix when any pivot falls below
-    tol.pivot_rel * max|entry of m|.
+    For one N x N matrix, rhs is an N-vector, an N x K matrix, or a (B, N, K)
+    stack of right-hand sides; returns x and raises SingularMatrix when any
+    pivot falls below tol.pivot_rel * max|entry of m|.
+
+    For a (B, N, N) stack, rhs is (B, N) or (B, N, K); returns (x, singular)
+    with the same pivot rule applied to each slice. Flagged slices are not
+    solved and come back NaN.
+
+    Every slice goes through the same LAPACK calls as a lone matrix, so its
+    solution is the 2-d solution bit for bit. (NumPy's bundled OpenBLAS is a
+    different build from SciPy's, and np.linalg.solve differs from it in the
+    last bits from N = 9 on.)
     """
-    a = _require_square(as_matrix(m, "m"), "m")
+    a = _require_square(as_stack(m, "m"), "m")
     b = np.asarray(rhs, dtype=float)
+    if a.ndim == 3 or b.ndim == 3:
+        return _solve_stack(a, b, tol)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
+    return _lu_solve(*_lu_factor(a, tol), b)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, tol: Tolerances):
+    stacks_differ = a.ndim == 3 and b.shape[:1] != a.shape[:1]
+    if b.ndim not in (2, 3) or b.shape[1] != a.shape[-1] or stacks_differ:
+        raise ValueError(f"rhs of shape {b.shape} does not fit a matrix of shape {a.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains non-finite entries")
+    if a.ndim == 2:
+        lu, piv = _lu_factor(a, tol)
+        return np.array([_lu_solve(lu, piv, b_i) for b_i in b]).reshape(b.shape)
+    if a.shape[-1] == 0:
+        raise SingularMatrix("empty matrix")
+    factors = [lapack.dgetrf(a_i) for a_i in a]
+    if any(info < 0 for _, _, info in factors):
+        raise ValueError("dgetrf: illegal argument")
+    # the pivot rule of _lu_factor, for all slices at once
+    lu = np.array([f[0] for f in factors]).reshape(a.shape)
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
+    singular = pivots <= tol.pivot_rel * np.abs(a).max(axis=(1, 2))
+    x = np.full(b.shape, np.nan)
+    for i in np.flatnonzero(~singular):
+        x[i] = _lu_solve(factors[i][0], factors[i][1], b[i])
+    return x, singular
+
+
+def _lu_factor(a: np.ndarray, tol: Tolerances):
     if a.size == 0:
         raise SingularMatrix("empty matrix")
-    # LAPACK dgetrf/dgetrs, as scipy.linalg.lu_factor/lu_solve call them; an
-    # exactly zero pivot (info > 0) is left to the pivot scan below
+    # LAPACK dgetrf, as scipy.linalg.lu_factor calls it; an exactly zero
+    # pivot (info > 0) is left to the pivot scan below
     lu, piv, info = lapack.dgetrf(a)
     if info < 0:
         raise ValueError(f"dgetrf: illegal argument {-info}")
@@ -93,6 +144,12 @@ def solve_linear(m, rhs, tol: Tolerances = TOL) -> np.ndarray:
     threshold = tol.pivot_rel * np.abs(a).max()
     if pivots.min() <= threshold:
         raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+    return lu, piv
+
+
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # LAPACK dgetrs, as scipy.linalg.lu_solve calls it; one right-hand side
+    # block per call, because dgetrs on a wider block can round differently
     x, info = lapack.dgetrs(lu, piv, b)
     if info < 0:
         raise ValueError(f"dgetrs: illegal argument {-info}")
@@ -100,23 +157,30 @@ def solve_linear(m, rhs, tol: Tolerances = TOL) -> np.ndarray:
 
 
 def spectrum(a) -> Spectrum:
-    """All eigenvalues of a real square matrix, deterministically ordered."""
-    m = _require_square(as_matrix(a, "a"), "a")
-    if m.shape[0] == 0:
+    """All eigenvalues of a real square matrix, deterministically ordered.
+
+    For a (B, n, n) stack, eigenvalues is (B, n), sorted per slice, and
+    abscissa a (B,) array.
+    """
+    m = _require_square(as_stack(a, "a"), "a")
+    if m.shape[-1] == 0:
         raise ValueError("spectrum of an empty matrix is undefined")
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    return Spectrum(eigenvalues=eigs, abscissa=float(eigs.real.max()))
+    if m.ndim == 2:
+        eigs = eigs[order]
+        return Spectrum(eigenvalues=eigs, abscissa=float(eigs.real.max()))
+    eigs = np.take_along_axis(eigs, order, axis=-1)
+    return Spectrum(eigenvalues=eigs, abscissa=eigs.real.max(axis=-1))
 
 
 def sym_part(a) -> np.ndarray:
-    """Symmetric part (a + a^T) / 2."""
-    m = _require_square(as_matrix(a, "a"), "a")
-    return (m + m.T) / 2.0
+    """Symmetric part (a + a^T) / 2, of one matrix or of each in a stack."""
+    m = _require_square(as_stack(a, "a"), "a")
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def _require_symmetric(a, name: str, tol: Tolerances = TOL) -> np.ndarray:

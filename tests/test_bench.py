@@ -6,6 +6,7 @@ import copy
 import numpy as np
 import pytest
 
+import helpers
 from gainflow import bellman, bench, flow, lqr_core, matlin
 from gainflow.bench import BenchConfig
 from gainflow.errors import GainflowError, SamplingFailure
@@ -218,3 +219,59 @@ class TestGridEval:
     def test_rejects_wrong_shape(self, scalar_sys):
         with pytest.raises(ValueError):
             bench.grid_eval(scalar_sys, (0.0, 1.0), (0.0, 1.0), 2)
+
+
+def _per_cell_reference(sys_, k1s, k2s, objective):
+    """grid_eval's contract, one gain at a time through the public scalar
+    path: NaN outside the sigma set and where the value solve raises."""
+    values = np.full((k1s.size, k2s.size), np.nan)
+    stable = np.zeros((k1s.size, k2s.size), dtype=bool)
+    for i, k1 in enumerate(k1s):
+        for j, k2 in enumerate(k2s):
+            k = np.array([[k1, k2]])
+            stable[i, j] = lqr_core.in_stabilizing_set(sys_, k)
+            try:
+                if objective == "bellman":
+                    values[i, j] = bellman.bellman_error(sys_, k).e
+                else:
+                    values[i, j] = np.trace(lqr_core.solve_value_lyapunov(sys_, k).p)
+            except GainflowError:
+                pass
+    return values, stable
+
+
+def _spd_instance():
+    rng = np.random.default_rng(404)
+    return helpers.random_admissible_system(rng, 2, 1, identity_weights=False)
+
+
+class TestStackedGridEval:
+    @pytest.mark.parametrize("objective", ["bellman", "lqr"])
+    @pytest.mark.parametrize("make_sys", [lqr_core.demo_system, _spd_instance])
+    def test_bitwise_equal_to_per_cell_path(self, make_sys, objective):
+        sys_ = make_sys()
+        res = bench.grid_eval(sys_, (-3.0, 3.0), (-3.0, 3.0), 31, objective=objective)
+        values, stable = _per_cell_reference(sys_, res.k1, res.k2, objective)
+        assert np.array_equal(res.stable, stable)
+        assert np.array_equal(np.isnan(res.values), np.isnan(values))
+        assert res.values.tobytes() == values.tobytes()
+
+    def test_demo_grid_hits_both_singular_lines(self, demo_sys):
+        res = bench.grid_eval(demo_sys, (-3.0, 3.0), (-3.0, 3.0), 31)
+        sums = res.k1[:, None] + res.k2[None, :]
+        for line in (-1.0, -3.0):
+            on_line = np.abs(sums - line) < 1e-9
+            assert on_line.sum() > 0 and np.isnan(res.values[on_line]).all()
+        assert np.isnan(res.values).sum() == (np.abs(sums + 1.0) < 1e-9).sum() \
+            + (np.abs(sums + 3.0) < 1e-9).sum()
+
+    @pytest.mark.parametrize("objective", ["bellman", "lqr"])
+    def test_partial_last_chunk_matches_single_cell_grids(self, demo_sys, objective):
+        # 37 x 41 = 1517 cells: one full stack and a partial one
+        assert (37 * 41) % bench._GRID_CHUNK
+        res = bench.grid_eval(demo_sys, (-4.0, 2.0), (-2.5, 3.5), (37, 41), objective=objective)
+        for i, k1 in enumerate(res.k1):
+            for j, k2 in enumerate(res.k2):
+                one = bench.grid_eval(demo_sys, (k1, k1), (k2, k2), 1, objective=objective)
+                assert one.stable[0, 0] == res.stable[i, j]
+                assert one.values[0, 0].tobytes() == res.values[i, j].tobytes()

@@ -4,10 +4,12 @@ policy-iteration oracle."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from gainflow import bellman, lqr_core, matlin
-from gainflow.errors import MaxIterExceeded, NotInSigmaSet, NotStabilizing
+from gainflow import bellman, cost_flow, lqr_core, matlin
+from gainflow.errors import MaxIterExceeded, NotInSigmaSet, NotStabilizing, SingularMatrix
 from gainflow.lqr_core import SystemInstance
 
 P_DEMO_AT_ORIGIN = np.array([[1.0 / 4.0, 1.0 / 12.0], [1.0 / 12.0, 7.0 / 12.0]])
@@ -206,3 +208,91 @@ def test_lyapunov_solve_matches_kron_formula(rng):
         assert np.linalg.norm(a @ x + x @ a.T + load) <= 1e-9 * (1.0 + np.linalg.norm(x))
         reference = scipy.linalg.solve_continuous_lyapunov(a, -load)
         assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("evaluate", [
+    bellman.bellman_error, bellman.bellman_gradient, lqr_core.solve_value_lyapunov,
+    cost_flow.lqr_cost, cost_flow.lqr_gradient, cost_flow.natural_gradient,
+])
+def test_one_spectrum_per_evaluation(demo_sys, monkeypatch, evaluate):
+    # a stabilizing gain is in the sigma set, so one domain check suffices
+    calls = []
+    spectrum = matlin.spectrum
+    monkeypatch.setattr(matlin, "spectrum", lambda a: calls.append(a) or spectrum(a))
+    evaluate(demo_sys, [[0.3, 0.2]])
+    assert len(calls) == 1
+
+
+# Stacked evaluation: random 2..4-state instances with SPD weights, and gain
+# stacks that mix gains around a stabilizing one with wide standard-normal
+# draws, most of them unstable.
+stacked_cases = st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 12),
+                          st.integers(0, 2**32 - 1))
+
+
+def _instance_and_stack(n, m, size, seed):
+    rng = np.random.default_rng(seed)
+    sys_, k_stab = helpers.stabilizing_pair(rng, n, min(m, n), identity_weights=False)
+    near = k_stab + 0.1 * rng.standard_normal((size, sys_.m, n))
+    wide = 3.0 * rng.standard_normal((size, sys_.m, n))
+    return sys_, np.concatenate([k_stab[None], near, wide])
+
+
+@given(case=stacked_cases)
+@settings(max_examples=40, deadline=None)
+def test_stacked_evaluation_equals_per_gain(case):
+    sys_, ks = _instance_and_stack(*case)
+    abscissa, stable, in_sigma = lqr_core.gain_domain(sys_, ks)
+    p, singular = lqr_core.value_matrices(sys_, ks)
+    residual = lqr_core.care_residual(sys_, p[~singular])
+    solved = iter(residual)
+    for i, k in enumerate(ks):
+        assert (abscissa[i], stable[i], in_sigma[i]) == lqr_core.gain_domain(sys_, k)
+        if not singular[i]:
+            assert next(solved).tobytes() == lqr_core.care_residual(sys_, p[i]).tobytes()
+        if not in_sigma[i]:
+            continue
+        try:
+            want = lqr_core.solve_value_lyapunov(sys_, k).p
+        except SingularMatrix:
+            assert singular[i]
+            continue
+        assert not singular[i]
+        assert p[i].tobytes() == want.tobytes()
+
+
+@given(case=stacked_cases, order_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_evaluation_does_not_depend_on_order(case, order_seed):
+    sys_, ks = _instance_and_stack(*case)
+    perm = np.random.default_rng(order_seed).permutation(len(ks))
+    undo = np.argsort(perm)
+    p, singular = lqr_core.value_matrices(sys_, ks)
+    p_perm, singular_perm = lqr_core.value_matrices(sys_, ks[perm])
+    assert p_perm[undo].tobytes() == p.tobytes()
+    assert np.array_equal(singular_perm[undo], singular)
+    domain = lqr_core.gain_domain(sys_, ks)
+    domain_perm = lqr_core.gain_domain(sys_, ks[perm])
+    assert all(np.array_equal(x[undo], y) for x, y in zip(domain_perm, domain))
+
+
+@given(case=stacked_cases)
+@settings(max_examples=40, deadline=None)
+def test_stabilizing_implies_sigma_set(case):
+    sys_, ks = _instance_and_stack(*case)
+    _, stable, in_sigma = lqr_core.gain_domain(sys_, ks)
+    assert stable[0] and in_sigma[stable].all()
+    for k in ks[stable]:
+        assert lqr_core.in_stabilizing_set(sys_, k) and lqr_core.in_sigma_set(sys_, k)
+
+
+def test_value_matrices_flags_singular_gain(demo_sys):
+    # [[0.3, -1.3]] puts the demo closed loop on the sigma-set boundary
+    ks = np.array([[[0.0, 0.0]], [[0.3, -1.3]], [[1.0, 0.5]]])
+    p, singular = lqr_core.value_matrices(demo_sys, ks)
+    assert singular.tolist() == [False, True, False]
+    assert np.isnan(p[1]).all()
+    assert np.array_equal(p[0], lqr_core.solve_value_lyapunov(demo_sys, [[0.0, 0.0]]).p)
+    assert np.allclose(p[0], P_DEMO_AT_ORIGIN, atol=1e-15)
+    with pytest.raises(ValueError):
+        lqr_core.value_matrices(demo_sys, [[0.0, 0.0]])

@@ -108,3 +108,63 @@ def test_tolerance_defaults():
     assert matlin.TOL.pivot_rel == 1e-13
     assert matlin.TOL.stability_margin == 1e-9
     assert matlin.TOL.sigma_margin == 1e-9
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("n, rhs_cols", [(1, None), (4, None), (9, None), (16, 3)])
+    def test_singular_middle_slice_flagged_alone(self, rng, n, rhs_cols):
+        a = rng.standard_normal((7, n, n))
+        a[3] = np.outer(rng.standard_normal(n), rng.standard_normal(n))  # rank one
+        if n == 1:
+            a[3] = 0.0
+        shape = (7, n) if rhs_cols is None else (7, n, rhs_cols)
+        b = rng.standard_normal(shape)
+        x, singular = matlin.solve_linear(a, b)
+        assert singular.tolist() == [False, False, False, True, False, False, False]
+        assert np.isnan(x[3]).all()
+        with pytest.raises(SingularMatrix):
+            matlin.solve_linear(a[3], b[3])
+        for i in (0, 1, 2, 4, 5, 6):
+            assert np.array_equal(x[i], matlin.solve_linear(a[i], b[i]))
+
+    def test_pivot_rule_is_relative_per_slice(self):
+        # near-singular at scale 1 and at scale 1e8 is flagged; a tiny but
+        # well-conditioned slice is not
+        a = np.array([[[1.0, 1.0], [1.0, 1.0 + 1e-14]], [[1e8, 1e8], [1e8, 1e8 + 1e-6]],
+                      1e-14 * np.eye(2)])
+        _, singular = matlin.solve_linear(a, np.ones((3, 2)))
+        assert singular.tolist() == [True, True, False]
+
+    def test_one_matrix_many_right_hand_sides(self, rng):
+        for n in (1, 2, 3):
+            a = rng.standard_normal((n, n)) + n * np.eye(n)
+            b = rng.standard_normal((11, n, 4))
+            x = matlin.solve_linear(a, b)
+            for i in range(11):
+                assert np.array_equal(x[i], matlin.solve_linear(a, b[i]))
+
+    def test_stack_shape_checks(self):
+        with pytest.raises(ValueError):
+            matlin.solve_linear(np.ones((3, 2, 2)), np.ones(2))
+        with pytest.raises(ValueError):
+            matlin.solve_linear(np.ones((3, 2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            matlin.solve_linear(np.ones((3, 2, 3)), np.ones((3, 2)))
+
+    def test_spectrum_of_stack_matches_each_matrix(self, rng):
+        a = rng.standard_normal((9, 3, 3))
+        sp = matlin.spectrum(a)
+        for i in range(9):
+            one = matlin.spectrum(a[i])
+            assert np.array_equal(sp.eigenvalues[i], one.eigenvalues)
+            assert sp.abscissa[i] == one.abscissa
+
+    def test_sym_part_of_stack_matches_each_matrix(self, rng):
+        a = rng.standard_normal((5, 3, 3))
+        s = matlin.sym_part(a)
+        assert all(np.array_equal(s[i], matlin.sym_part(a[i])) for i in range(5))
+
+    def test_empty_stack(self):
+        x, singular = matlin.solve_linear(np.ones((0, 3, 3)), np.ones((0, 3)))
+        assert x.shape == (0, 3) and singular.shape == (0,)
+        assert matlin.solve_linear(np.eye(2), np.ones((0, 2, 5))).shape == (0, 2, 5)
