@@ -57,7 +57,11 @@ def bellman_error(sys: SystemInstance, k) -> BellmanEval:
     symmetrized direct residual form.
     """
     k = lqr_core.as_gain(sys, k)
-    sol = lqr_core.solve_value_lyapunov(sys, k)
+    return _error_eval(sys, k, lqr_core.solve_value_lyapunov(sys, k))
+
+
+def _error_eval(sys: SystemInstance, k: np.ndarray, sol: ValueSolution) -> BellmanEval:
+    """bellman_error from the value solution of a validated gain."""
     p = sol.p
     m_direct = matlin.sym_part(lqr_core.care_residual(sys, p))
     gap_gain = k - matlin.solve_linear(sys.r, sys.b.T @ p)
@@ -83,19 +87,30 @@ def bellman_gradient(sys: SystemInstance, k) -> BellmanGradient:
     return BellmanGradient(grad=grad, x_matrix=x, a_tilde=a_tilde)
 
 
-def _error_value(sys: SystemInstance, p: np.ndarray):
-    """e_K = -tr(M_K) from the value matrix P_K, or per slice of a (B, n, n)
-    stack; equals bellman_error(...).e bit for bit (the diagonal of the
-    symmetric part is the diagonal itself)."""
-    return -np.trace(lqr_core.care_residual(sys, p), axis1=-2, axis2=-1)
+def _error_value(residual: np.ndarray):
+    """e_K = -tr(M_K) from the CARE residual M_K, or per slice of a
+    (B, n, n) stack; equals bellman_error(...).e bit for bit (the diagonal
+    of the symmetric part is the diagonal itself)."""
+    return -np.trace(residual, axis1=-2, axis2=-1)
 
 
 def _gradient_pieces(sys, k, a_k, p):
     """(grad e_K, X_K, A~) from the closed loop a_k and the value matrix p."""
-    a_tilde = sys.a - sys.b @ matlin.solve_linear(sys.r, sys.b.T @ p)
+    bt_p = sys.b.T @ p
+    a_tilde = _a_tilde(sys, matlin.solve_linear(sys.r, bt_p))
     x = matlin.sym_part(lqr_core.lyapunov_solve(a_k, matlin.sym_part(a_tilde)))
-    grad = -4.0 * (sys.r @ k - sys.b.T @ p) @ x
-    return grad, x, a_tilde
+    return _gradient(sys, k, bt_p, x), x, a_tilde
+
+
+def _a_tilde(sys, gain_p: np.ndarray) -> np.ndarray:
+    """A~ = A - B R^{-1} B^T P_K from gain_p = R^{-1} B^T P_K; sys may be a
+    stack of systems."""
+    return sys.a - sys.b @ gain_p
+
+
+def _gradient(sys, k: np.ndarray, bt_p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """grad e_K = -4 (R K - B^T P_K) X_K, for one gain or slice by slice."""
+    return -4.0 * (sys.r @ k - bt_p) @ x
 
 
 def bellman_error_closed_form_2d(k1: float, k2: float) -> float:

@@ -3,11 +3,14 @@
 
 Each benchmark instance draws A and B from a standard normal distribution
 (Q and R are scaled identities, which keeps detectability automatic),
-rejection-samples a stabilizing initial gain, computes the optimal gain
-with the policy-iteration oracle, and integrates the requested flows from
-the shared initial gain. Normalized gain residuals are interpolated onto a
-common time grid (piecewise linear in log space, where linear convergence
-is a straight line) and aggregated into median and quartile curves.
+rejection-samples a stabilizing initial gain, and computes the optimal gain
+with the policy-iteration oracle. Once all instances are drawn, each
+requested flow integrates the whole population from the shared initial
+gains in one lock-step call of flow.integrate; every trajectory is the one
+its instance would get alone. Normalized gain residuals are interpolated
+onto a common time grid (piecewise linear in log space, where linear
+convergence is a straight line) and aggregated into median and quartile
+curves.
 
 Determinism: every instance derives its own seed from the master seed via a
 splitmix64 stream, so the run is reproducible bit for bit and instances are
@@ -177,12 +180,15 @@ def _interp_log(time_grid: np.ndarray, residuals: list[tuple[float, float]]) -> 
 def run_benchmark(config: BenchConfig, keep_trajectories: bool = False) -> BenchResult:
     """Run the comparative convergence study.
 
-    Individual instance or flow failures are recorded in the result and
-    never abort the run. With keep_trajectories the full integrator output
-    is retained per flow for downstream property checks.
+    All instances and their oracle gains are drawn first; then each flow
+    integrates the whole population in one call. Individual instance or
+    flow failures are recorded in the result and never abort the run. With
+    keep_trajectories the full integrator output is retained per flow for
+    downstream property checks.
     """
     grid = np.array(config.time_grid)
     records: list[BenchRecord] = []
+    population: list[tuple[BenchRecord, SystemInstance, np.ndarray]] = []
     for i in range(config.num_instances):
         seed = instance_seed(config.seed, i)
         record = BenchRecord(
@@ -193,25 +199,25 @@ def run_benchmark(config: BenchConfig, keep_trajectories: bool = False) -> Bench
         rng = np.random.default_rng(seed)
         try:
             sys, k0 = _draw_triple(config, rng)
-            oracle = lqr_core.kleinman(sys, k0)
+            record.k_star = lqr_core.kleinman(sys, k0).k_star
         except GainflowError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             for kind in config.flows:
-                record.curves[kind] = np.full(grid.shape, np.nan)
-                record.statuses[kind] = "NotRun"
-                record.converged[kind] = False
-                record.t_hit[kind] = None
+                _record_failure(record, kind, "NotRun", grid)
             continue
-        record.k_star = oracle.k_star
-        for kind in config.flows:
+        population.append((record, sys, k0))
+    systems = [sys for _, sys, _ in population]
+    k0s = np.array([k0 for _, _, k0 in population]).reshape(-1, config.m, config.n)
+    for kind in config.flows:
+        outcomes = flow.integrate(systems, k0s, FlowConfig(kind=kind, **_BENCH_FLOW[kind]))
+        for (record, _, _), traj in zip(population, outcomes):
+            if isinstance(traj, GainflowError):  # it could not start
+                _record_failure(record, kind, type(traj).__name__, grid)
+                continue
             try:
-                traj = flow.integrate(sys, k0, FlowConfig(kind=kind, **_BENCH_FLOW[kind]))
-                residuals = flow.normalized_residuals(traj, oracle.k_star)
+                residuals = flow.normalized_residuals(traj, record.k_star)
             except GainflowError as exc:
-                record.curves[kind] = np.full(grid.shape, np.nan)
-                record.statuses[kind] = f"{type(exc).__name__}"
-                record.converged[kind] = False
-                record.t_hit[kind] = None
+                _record_failure(record, kind, type(exc).__name__, grid)
                 continue
             record.curves[kind] = _interp_log(grid, residuals)
             record.statuses[kind] = traj.status
@@ -221,6 +227,13 @@ def run_benchmark(config: BenchConfig, keep_trajectories: bool = False) -> Bench
             if keep_trajectories:
                 record.trajectories[kind] = traj
     return BenchResult(config=config, records=records, summary=_summarize(config, records, grid))
+
+
+def _record_failure(record: BenchRecord, kind: str, status: str, grid: np.ndarray) -> None:
+    record.curves[kind] = np.full(grid.shape, np.nan)
+    record.statuses[kind] = status
+    record.converged[kind] = False
+    record.t_hit[kind] = None
 
 
 def _summarize(config: BenchConfig, records: list[BenchRecord], grid: np.ndarray) -> BenchSummary:
@@ -290,7 +303,7 @@ def grid_eval(sys: SystemInstance, k1_range, k2_range, resolution,
         p, singular = lqr_core.value_matrices(sys, gains[idx])
         idx, p = idx[~singular], p[~singular]
         if objective == "bellman":
-            values[idx] = bellman._error_value(sys, p)
+            values[idx] = bellman._error_value(lqr_core.care_residual(sys, p))
         else:
             values[idx] = np.trace(p, axis1=-2, axis2=-1)
     return GridResult(k1=k1s, k2=k2s, values=values.reshape(k1s.size, k2s.size),

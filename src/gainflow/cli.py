@@ -15,6 +15,7 @@ binary value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys as _sys
@@ -145,24 +146,29 @@ def cmd_eval(args) -> int:
         k = _parse_gain(args.k, sys_.m, sys_.n)
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
+    # the domain is read once, from one spectrum; the helpers below skip the
+    # domain tests of the public functions and solve P once
     abscissa, in_k, in_k_sigma = lqr_core.gain_domain(sys_, k)
     out: dict = {}
     try:
         if args.objective == "bellman":
             if not in_k_sigma:
                 return _fail(3, "NotInSigmaSet", "gain is outside the effective domain")
-            ev = bellman.bellman_error(sys_, k)
+            ev = bellman._error_eval(sys_, k, lqr_core._value_solution(sys_, k))
             out["value"] = ev.e
-            out["grad"] = _rows(bellman.bellman_gradient(sys_, k).grad) if in_k else None
-            if not in_k:
+            if in_k:
+                a_k = lqr_core.closed_loop(sys_, k)
+                out["grad"] = _rows(bellman._gradient_pieces(sys_, k, a_k, ev.p.p)[0])
+            else:
+                out["grad"] = None
                 out["grad_reason"] = "gain is not in the stabilizing set"
             out["m_eigs"] = [float(w) for w in np.linalg.eigvalsh(ev.m_matrix)]
         else:
             if not in_k:
                 return _fail(3, "NotStabilizing", "the cost needs a stabilizing gain")
-            ce = cost_flow.lqr_cost(sys_, k)
+            ce = cost_flow._cost_eval(sys_, k, cost_flow._check_sigma0(sys_, None))
             out["value"] = ce.f
-            out["grad"] = _rows(cost_flow.lqr_gradient(sys_, k))
+            out["grad"] = _rows(cost_flow._cost_gradient(sys_, k, ce.p.p, ce.y_matrix))
             out["y_eigs"] = [float(w) for w in np.linalg.eigvalsh(ce.y_matrix)]
     except GainflowError as exc:
         return _fail(3, type(exc).__name__, exc)
@@ -210,6 +216,7 @@ def cmd_flow(args) -> int:
         "abscissa": last.abscissa,
         "samples": len(traj.samples),
         "csv": str(args.out),
+        "stats": dataclasses.asdict(traj.stats),
     })
     return 4 if traj.status == flow.STEP_FAILURE else 0
 
@@ -282,7 +289,10 @@ def cmd_bench(args) -> int:
         return _fail(2, "InputError", exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before the study, not after it
-    result = bench.run_benchmark(config)
+    try:
+        result = bench.run_benchmark(config)
+    except (GainflowError, np.linalg.LinAlgError) as exc:
+        return _fail(4, type(exc).__name__, exc)
     grid = list(config.time_grid)
     for record in result.records:
         _write_text(out_dir / f"instance_{record.instance_id:04d}.csv",

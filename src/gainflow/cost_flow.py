@@ -46,8 +46,13 @@ def lqr_cost(sys: SystemInstance, k, sigma0=None) -> CostEval:
     k = lqr_core.as_gain(sys, k)
     if not lqr_core.in_stabilizing_set(sys, k):
         raise NotStabilizing("the cost is finite only for stabilizing gains")
-    s = _check_sigma0(sys, sigma0)
-    sol = lqr_core._value_solution(sys, k)  # stabilizing, so in the sigma set
+    return _cost_eval(sys, k, _check_sigma0(sys, sigma0))
+
+
+def _cost_eval(sys: SystemInstance, k: np.ndarray, s: np.ndarray) -> CostEval:
+    """lqr_cost of a validated stabilizing gain (so in the sigma set) under
+    the checked surrogate s."""
+    sol = lqr_core._value_solution(sys, k)
     y = _gramian(lqr_core.closed_loop(sys, k), s)
     return CostEval(f=float(np.trace(sol.p @ s)), p=sol, y_matrix=y, sigma0=s)
 
@@ -77,16 +82,27 @@ def _gramian(a_k: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _cost_gradient(sys: SystemInstance, k: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2 (R K - B^T P_K) Y_K."""
-    return 2.0 * (sys.r @ k - sys.b.T @ p) @ y
+    """2 (R K - B^T P_K) Y_K, for one gain or slice by slice; sys may be a
+    stack of systems."""
+    return 2.0 * (sys.r @ k - sys.b.swapaxes(-1, -2) @ p) @ y
+
+
+# A Gramian whose smallest eigenvalue is at or below this is not positive
+# definite for the natural gradient.
+_GRAMIAN_PD_FLOOR = 1e-12
 
 
 def _precondition(grad: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     w = np.linalg.eigvalsh(y)
-    if float(w.min()) <= 1e-12:
+    if float(w.min()) <= _GRAMIAN_PD_FLOOR:
         raise NotPD("Gramian is not positive definite")
     if gamma == 1.0:
         return matlin.solve_linear(y, grad.T).T
+    return _gramian_power(grad, y, gamma)
+
+
+def _gramian_power(grad: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """grad Y^{-gamma} through the symmetric eigendecomposition of one Y."""
     w, v = np.linalg.eigh(y)
     return grad @ (v * w ** (-gamma)) @ v.T
 

@@ -35,6 +35,10 @@ class NotPD(GainflowError):
     """A matrix required to be positive definite is not."""
 
 
+class NonFiniteValue(GainflowError):
+    """A computed value (here, a flow direction) overflowed to inf or NaN."""
+
+
 class DegenerateStart(GainflowError):
     """The trajectory starts exactly at the reference gain, so normalized
     residuals are undefined."""

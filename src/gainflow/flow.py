@@ -1,13 +1,28 @@
-"""Adaptive integration of gain-matrix gradient flows.
+"""Adaptive integration of gain-matrix gradient flows, for one gain or for a
+whole population of them.
 
 The right-hand side is -beta * grad e_K (Bellman error), -grad f_K (cost),
 or -(grad f_K) Y^{-gamma} (natural), integrated with the Dormand-Prince 5(4)
-embedded pair under standard proportional step control. On top of the error
-test sits a stability guard: a proposed step whose endpoint has spectral
-abscissa >= -1e-9 is rejected and retried at half the step, and any
-breakdown while evaluating a stage (singular value equation, non-finite
-values) is treated the same way. Forty consecutive rejections end the run
-with StepFailure.
+embedded pair (Dormand & Prince, 1980) under standard proportional step
+control (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On top of the
+error test sits a stability guard: a proposed step whose endpoint has
+spectral abscissa >= -1e-9 is rejected and retried at half the step, and
+any breakdown while evaluating a stage (singular value, Gramian or
+preconditioner equation, a Gramian that is not positive definite,
+non-finite values, a failed eigenvalue iteration) is treated the same way.
+Forty consecutive rejections end the run with StepFailure.
+
+A population (systems of one shape, each with its own start gain) is
+integrated in lock step. Every member keeps its own time, step size, FSAL
+stage, consecutive-reject counter, step budget and status; each stage of an
+attempt evaluates all members still in it with one stacked call of the
+evaluation kernel, and the endpoint guard takes one batched spectrum. A
+member whose evaluation breaks down leaves the stack for the rest of that
+attempt and is rejected on its own. The stacked arithmetic works slice by
+slice, and the step-control scalars (norms, tolerances, step factors) are
+computed per member exactly as for one gain, so a member's trajectory is
+the same bit for bit whatever else is in the population. One gain is the
+population of one.
 
 Termination is on the gradient norm, not on distance to the optimal gain:
 the optimum is an oracle-only quantity the integrator never sees.
@@ -15,12 +30,21 @@ the optimum is an oracle-only quantity the integrator never sees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bellman, cost_flow, lqr_core, matlin
-from .errors import DegenerateStart, NotPD, NotStabilizing, SingularMatrix
+from .errors import (
+    DegenerateStart,
+    GainflowError,
+    NoConvergence,
+    NonFiniteValue,
+    NotPD,
+    NotStabilizing,
+    SingularMatrix,
+)
 from .lqr_core import SystemInstance
 from .matlin import TOL
 
@@ -48,6 +72,16 @@ _MAX_CONSECUTIVE_REJECTS = 40
 _STEP_SAFETY = 0.9
 _STEP_SHRINK = 0.2
 _STEP_GROW = 5.0
+
+# Why the evaluation of one member broke down (0: it did not), and the error
+# a one-gain caller gets for it.
+_SINGULAR, _NOT_PD, _NON_FINITE, _NO_EIGS = 1, 2, 3, 4
+_BREAKDOWNS = {
+    _SINGULAR: (SingularMatrix, "a value, Gramian or preconditioner equation is singular"),
+    _NOT_PD: (NotPD, "Gramian is not positive definite"),
+    _NON_FINITE: (NonFiniteValue, "non-finite flow direction"),
+    _NO_EIGS: (NoConvergence, "eigenvalue iteration failed"),
+}
 
 
 @dataclass(frozen=True)
@@ -84,39 +118,206 @@ class FlowSample:
 
 
 @dataclass(frozen=True)
+class FlowStats:
+    """Integrator counters of one trajectory: accepted steps, attempts
+    rejected by the error test, attempts rejected by the stability guard or
+    a breakdown while evaluating a stage, and right-hand-side evaluations
+    (the one at the start included)."""
+
+    accepted: int
+    error_rejects: int
+    guard_rejects: int
+    rhs_evals: int
+
+
+@dataclass(frozen=True)
 class FlowTrajectory:
     samples: list[FlowSample]
     status: str
     k_final: np.ndarray
+    stats: FlowStats
 
 
-class _StepReject(Exception):
-    """Internal: non-finite values inside a proposed step."""
+@dataclass(frozen=True, eq=False)
+class _Systems:
+    """(A, B, Q, R) of a population stacked over a leading axis. The formula
+    helpers written for one SystemInstance read the same attributes, so
+    they apply to it slice by slice."""
+
+    a: np.ndarray
+    b: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, systems) -> _Systems:
+        return cls(*(np.stack([getattr(s, name) for s in systems]) for name in "abqr"))
+
+    def __getitem__(self, rows) -> _Systems:
+        return _Systems(self.a[rows], self.b[rows], self.q[rows], self.r[rows])
+
+
+def _breakdown(code) -> GainflowError:
+    error, message = _BREAKDOWNS[int(code)]
+    return error(message)
+
+
+def _evaluate(pop: _Systems, k: np.ndarray, config: FlowConfig, objective: bool = False):
+    """Flow direction at a (L, m, n) stack of gains, member i of pop at k[i].
+
+    Returns (cause, rhs, grad, value). cause is an (L,) array: 0 where the
+    evaluation went through, the breakdown code elsewhere. rhs, grad (whose
+    norm is the stopping test) and value (the objective, None unless asked
+    for) hold the members that went through, in order. A member leaves the
+    stack where its evaluation breaks down, so it never reaches another
+    member's arithmetic. The value equation, the gradient pieces, the
+    Gramian and the preconditioner all run once for the whole stack.
+    """
+    cause = np.zeros(len(k), dtype=np.int8)
+    rows = np.arange(len(k))
+
+    def drop(bad, code, *arrays):
+        # the members flagged in bad leave the stack, with their cause
+        nonlocal rows, pop, k
+        cause[rows[bad]] = code
+        keep = ~bad
+        rows, pop, k = rows[keep], pop[keep], k[keep]
+        return [x[keep] for x in arrays]
+
+    a_k = pop.a - pop.b @ k
+    a_t, load = a_k.swapaxes(-1, -2), lqr_core._value_load(pop, k)
+    if config.kind == "bellman":
+        raw, singular = lqr_core._lyapunov(a_t, load)
+        if singular.any():
+            a_k, raw = drop(singular, _SINGULAR, a_k, raw)
+    else:
+        # the Gramian equation A_K Y + Y A_K^T + I = 0 joins the value
+        # equation's stacked solve
+        eye = np.repeat(np.eye(k.shape[-1])[None], len(k), axis=0)
+        both, singular = lqr_core._lyapunov(np.concatenate([a_t, a_k]),
+                                            np.concatenate([load, eye]))
+        raw, y = both[:len(k)], both[len(k):]
+        singular = singular[:len(k)] | singular[len(k):]
+        if singular.any():
+            raw, y = drop(singular, _SINGULAR, raw, y)
+    p = matlin._sym(raw)
+    value = None
+    if config.kind == "bellman":
+        bt_p = pop.b.swapaxes(-1, -2) @ p
+        # R^{-1} B^T P, solved once for both A~ and the CARE residual
+        gain_p, singular = matlin._solve_slices(pop.r, bt_p)
+        if singular.any():
+            a_k, p, bt_p, gain_p = drop(singular, _SINGULAR, a_k, p, bt_p, gain_p)
+        x, singular = lqr_core._lyapunov(a_k, matlin._sym(bellman._a_tilde(pop, gain_p)))
+        if singular.any():
+            p, bt_p, gain_p, x = drop(singular, _SINGULAR, p, bt_p, gain_p, x)
+        grad = bellman._gradient(pop, k, bt_p, matlin._sym(x))
+        rhs = -config.beta * grad
+        if objective:
+            value = bellman._error_value(lqr_core._care_residual(pop, p, bt_p, gain_p))
+    else:
+        y = matlin._sym(y)
+        grad = cost_flow._cost_gradient(pop, k, p, y)
+        if config.kind == "natural":
+            p, grad = _precondition_stack(drop, p, grad, y, config.gamma)
+        rhs = -grad
+        if objective:
+            value = np.trace(p, axis1=-2, axis2=-1)
+    bad = ~np.isfinite(rhs).all(axis=(1, 2))
+    if bad.any() and value is None:
+        rhs, grad = drop(bad, _NON_FINITE, rhs, grad)
+    elif bad.any():
+        rhs, grad, value = drop(bad, _NON_FINITE, rhs, grad, value)
+    return cause, rhs, grad, value
+
+
+def _precondition_stack(drop, p, grad, y, gamma: float):
+    """cost_flow._precondition for each member of a stack: (p, direction)
+    for the members whose Gramian is positive definite and whose solve goes
+    through; drop removes the others from the stack."""
+    bad = ~np.isfinite(y).all(axis=(1, 2))
+    if bad.any():
+        p, grad, y = drop(bad, _NON_FINITE, p, grad, y)
+    w_min = _min_eigenvalues(y)
+    failed = np.isnan(w_min)
+    if failed.any():
+        p, grad, y, w_min = drop(failed, _NO_EIGS, p, grad, y, w_min)
+    not_pd = w_min <= cost_flow._GRAMIAN_PD_FLOOR
+    if not_pd.any():
+        p, grad, y = drop(not_pd, _NOT_PD, p, grad, y)
+    if gamma == 1.0:
+        x, singular = matlin._solve_slices(y, grad.swapaxes(-1, -2))
+        if singular.any():
+            p, x = drop(singular, _SINGULAR, p, x)
+        # C order, as the one-gain x.T: later products see the same layout
+        return p, np.ascontiguousarray(x.swapaxes(-1, -2))
+    # one member at a time: a stacked w ** -gamma can round differently
+    out, failed = np.full(grad.shape, np.nan), np.zeros(len(grad), dtype=bool)
+    for i in range(len(grad)):
+        try:
+            out[i] = cost_flow._gramian_power(grad[i], y[i], gamma)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    if failed.any():
+        p, out = drop(failed, _NO_EIGS, p, out)
+    return p, out
+
+
+def _min_eigenvalues(y: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric slice, from one batched call;
+    when that call fails, each slice is retried alone, and the slices that
+    fail again get NaN."""
+    try:
+        return np.linalg.eigvalsh(y).min(axis=-1)
+    except np.linalg.LinAlgError:
+        pass
+    w_min = np.full(len(y), np.nan)
+    for i, y_i in enumerate(y):
+        try:
+            w_min[i] = np.linalg.eigvalsh(y_i).min()
+        except np.linalg.LinAlgError:
+            continue
+    return w_min
+
+
+def _abscissae(pop: _Systems, k: np.ndarray):
+    """(abscissa, failed) of each closed loop A - B K, from one batched
+    spectrum; a non-finite closed loop, or one whose eigenvalue iteration
+    fails on its own, is flagged instead."""
+    a_k = pop.a - pop.b @ k
+    failed = ~np.isfinite(a_k).all(axis=(1, 2))
+    abscissa = np.full(len(k), np.nan)
+    rows = np.flatnonzero(~failed)
+    try:
+        abscissa[rows] = matlin.spectrum(a_k[rows]).abscissa
+    except NoConvergence:
+        for i in rows:
+            try:
+                abscissa[i] = matlin.spectrum(a_k[i]).abscissa
+            except NoConvergence:
+                failed[i] = True
+    return abscissa, failed
+
+
+def _norms(stack: np.ndarray) -> list[float]:
+    """Frobenius norm of each slice, as np.linalg.norm computes it for one
+    matrix: the dot product of its row-major ravel with itself, then the
+    square root. (A reduction over the stack rounds differently.)"""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:]))
+    return [math.sqrt(row.dot(row)) for row in rows]
 
 
 def _point_eval(sys: SystemInstance, k: np.ndarray, config: FlowConfig):
-    """(rhs, grad_norm, objective) at one gain, through the same value,
-    gradient and objective helpers as the public functions.
+    """(rhs, grad_norm, objective) at one validated gain, as a population of
+    one; raises the error that stopped the evaluation.
 
     Skips the stabilizing-set test; callers relying on that precondition
-    must make it themselves. Singular value equations raise SingularMatrix.
+    must make it themselves.
     """
-    a_k = sys.a - sys.b @ k
-    p = matlin.sym_part(lqr_core._value_equation(sys, k, a_k)[0])
-    if config.kind == "bellman":
-        grad = bellman._gradient_pieces(sys, k, a_k, p)[0]
-        objective = float(bellman._error_value(sys, p))
-        rhs = -config.beta * grad
-    else:
-        y = cost_flow._gramian(a_k, np.eye(sys.n))
-        grad = cost_flow._cost_gradient(sys, k, p, y)
-        if config.kind == "natural":
-            grad = cost_flow._precondition(grad, y, config.gamma)
-        objective = float(np.trace(p))
-        rhs = -grad
-    if not np.all(np.isfinite(rhs)):
-        raise _StepReject("non-finite flow direction")
-    return rhs, float(np.linalg.norm(grad)), objective
+    cause, rhs, grad, value = _evaluate(_Systems.of([sys]), k[None], config, objective=True)
+    if cause[0]:
+        raise _breakdown(cause[0])
+    return rhs[0], _norms(grad)[0], float(value[0])
 
 
 def flow_rhs(sys: SystemInstance, k, config: FlowConfig) -> np.ndarray:
@@ -128,103 +329,221 @@ def flow_rhs(sys: SystemInstance, k, config: FlowConfig) -> np.ndarray:
     return rhs
 
 
-def _initial_step(k0: np.ndarray, rhs0: np.ndarray, config: FlowConfig) -> float:
-    scale = 0.01 * (1.0 + float(np.linalg.norm(k0)))
-    speed = 1e-12 + float(np.linalg.norm(rhs0))
+def _initial_step(k_norm: float, rhs_norm: float, config: FlowConfig) -> float:
+    scale = 0.01 * (1.0 + k_norm)
+    speed = 1e-12 + rhs_norm
     return float(min(1.0, scale / speed, config.t_max))
 
 
-def integrate(sys: SystemInstance, k0, config: FlowConfig) -> FlowTrajectory:
-    """Integrate the configured flow from a stabilizing initial gain.
+class _Member:
+    """Step-control state and counters of one population member."""
 
-    Returns a trajectory whose recorded samples all lie strictly inside the
-    stabilizing set. Status is ConvergedGradTol when the gradient norm drops
-    below grad_tol, ReachedTMax at the horizon, and StepFailure after forty
-    consecutive rejections (or an exhausted step budget).
+    __slots__ = ("t", "h", "rejects", "attempts", "samples", "last",
+                 "accepted", "error_rejects", "guard_rejects", "rhs_evals")
+
+    def __init__(self, first: FlowSample):
+        self.t = 0.0
+        self.h = 0.0
+        self.rejects = self.attempts = 0
+        self.samples = [first]
+        self.last = first
+        self.accepted = self.error_rejects = self.guard_rejects = 0
+        self.rhs_evals = 1
+
+    def reject(self, factor: float, guard: bool) -> bool:
+        """Shrink the step; True when this ends the run."""
+        self.h *= factor
+        self.rejects += 1
+        if guard:
+            self.guard_rejects += 1
+        else:
+            self.error_rejects += 1
+        return self.rejects >= _MAX_CONSECUTIVE_REJECTS
+
+    def finish(self, status: str) -> FlowTrajectory:
+        if self.samples[-1].t != self.last.t:
+            self.samples.append(self.last)
+        stats = FlowStats(self.accepted, self.error_rejects, self.guard_rejects, self.rhs_evals)
+        return FlowTrajectory(samples=self.samples, status=status, k_final=self.last.k,
+                              stats=stats)
+
+
+def integrate(sys, k0, config: FlowConfig):
+    """Integrate the configured flow from stabilizing initial gains.
+
+    With one SystemInstance and one m x n gain, returns its FlowTrajectory;
+    an unstable start raises NotStabilizing, and a start where the first
+    evaluation breaks down raises that error.
+
+    With a sequence of SystemInstances of one shape and a (B, m, n) stack of
+    start gains, integrates them as one population and returns one outcome
+    per member, in order: its FlowTrajectory, or the GainflowError that kept
+    it from starting (NotStabilizing for an unstable start). A member's
+    outcome does not depend on the other members.
+
+    Recorded samples all lie strictly inside the stabilizing set. Status is
+    ConvergedGradTol when the gradient norm drops below grad_tol,
+    ReachedTMax at the horizon, and StepFailure after forty consecutive
+    rejections or when max_steps attempts run out.
     """
-    k = lqr_core.as_gain(sys, k0).copy()
-    abscissa = matlin.spectrum(sys.a - sys.b @ k).abscissa
-    if abscissa >= -TOL.stability_margin:
-        raise NotStabilizing("initial gain is not stabilizing")
-    rhs, grad_norm, objective = _point_eval(sys, k, config)
-    samples = [FlowSample(0.0, k.copy(), objective, grad_norm, abscissa)]
-    if grad_norm <= config.grad_tol:
-        return FlowTrajectory(samples, CONVERGED_GRAD_TOL, k)
-    last_sample = samples[0]
-    f_first = rhs
-    h = _initial_step(k, rhs, config)
-    t = 0.0
-    rejects = 0
-    accepted = 0
-    status = STEP_FAILURE  # overwritten unless max_steps runs out
+    if isinstance(sys, SystemInstance):
+        k = lqr_core.as_gain(sys, k0)[None].copy()
+        outcome = _integrate(_Systems.of([sys]), k, config)[0]
+        if isinstance(outcome, GainflowError):
+            raise outcome
+        return outcome
+    systems = list(sys)
+    if not systems:
+        return []
+    if not all(isinstance(s, SystemInstance) for s in systems):
+        raise TypeError("a population is a sequence of SystemInstance")
+    n, m = systems[0].n, systems[0].m
+    if any((s.n, s.m) != (n, m) for s in systems):
+        raise ValueError("the systems of a population must share n and m")
+    k = matlin.as_stack(k0, "k0")
+    if k.shape != (len(systems), m, n):
+        raise ValueError(f"k0 must be a ({len(systems)}, {m}, {n}) stack, got {k.shape}")
+    return _integrate(_Systems.of(systems), k.copy(), config)
 
-    for _ in range(config.max_steps):
-        remaining = config.t_max - t
-        if remaining <= 1e-12 * config.t_max:
-            status = REACHED_T_MAX
-            break
-        h = min(h, remaining)
 
-        guard_reject = False
-        try:
-            stages = [f_first]
-            for row in _A[1:]:
-                point = k + h * sum(c * s for c, s in zip(row, stages))
-                if not np.all(np.isfinite(point)):
-                    raise _StepReject("non-finite stage point")
-                stages.append(_point_eval(sys, point, config)[0])
-            k_new = k + h * sum(c * s for c, s in zip(_B5, stages) if c)
-            if not np.all(np.isfinite(k_new)):
-                raise _StepReject("non-finite step endpoint")
-            abscissa_new = matlin.spectrum(sys.a - sys.b @ k_new).abscissa
-            if abscissa_new >= -TOL.stability_margin:
-                guard_reject = True
-            else:
-                rhs_new, grad_norm, objective = _point_eval(sys, k_new, config)
-                stages.append(rhs_new)
-        except (_StepReject, SingularMatrix, NotPD, np.linalg.LinAlgError):
-            guard_reject = True
+def _integrate(pop: _Systems, k: np.ndarray, config: FlowConfig) -> list:
+    outcomes: list = [None] * len(k)
+    abscissa, failed = _abscissae(pop, k)
+    for i in np.flatnonzero(failed):
+        outcomes[i] = NoConvergence("eigenvalue iteration failed at the initial gain")
+    for i in np.flatnonzero(~failed & (abscissa >= -TOL.stability_margin)):
+        outcomes[i] = NotStabilizing("initial gain is not stabilizing")
+    rows = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=int)
+    cause, rhs, grad, value = _evaluate(pop[rows], k[rows], config, objective=True)
+    for i, code in zip(rows[cause != 0], cause[cause != 0]):
+        outcomes[i] = _breakdown(code)
+    rows = rows[cause == 0]
 
-        if guard_reject:
-            h *= 0.5
-            rejects += 1
-            if rejects >= _MAX_CONSECUTIVE_REJECTS:
-                break
+    # per-member state; the gains and FSAL stages of all members stay stacked
+    members: dict[int, _Member] = {}
+    fsal = np.empty_like(k)
+    grad_norms, k_norms, rhs_norms = _norms(grad), _norms(k[rows]), _norms(rhs)
+    for j, i in enumerate(rows):
+        member = _Member(FlowSample(0.0, k[i].copy(), float(value[j]), grad_norms[j],
+                                    float(abscissa[i])))
+        if grad_norms[j] <= config.grad_tol:
+            outcomes[i] = member.finish(CONVERGED_GRAD_TOL)
             continue
+        member.h = _initial_step(k_norms[j], rhs_norms[j], config)
+        fsal[i] = rhs[j]
+        members[i] = member
 
-        err = float(np.linalg.norm(h * sum(c * s for c, s in zip(_E, stages) if c)))
-        tol = config.atol + config.rtol * max(
-            float(np.linalg.norm(k)), float(np.linalg.norm(k_new))
-        )
-        if not np.isfinite(err) or err > tol:
+    active = sorted(members)
+    while active:
+        live = []
+        for i in active:
+            member = members[i]
+            if member.attempts == config.max_steps:
+                outcomes[i] = member.finish(STEP_FAILURE)
+                continue
+            member.attempts += 1
+            remaining = config.t_max - member.t
+            if remaining <= 1e-12 * config.t_max:
+                outcomes[i] = member.finish(REACHED_T_MAX)
+                continue
+            member.h = min(member.h, remaining)
+            live.append(i)
+        if not live:
+            break
+        _step(pop, k, fsal, [members[i] for i in live], np.array(live), outcomes, config)
+        active = [i for i in live if outcomes[i] is None]
+    return outcomes
+
+
+def _step(pop: _Systems, k: np.ndarray, fsal: np.ndarray, members: list[_Member],
+          live: np.ndarray, outcomes: list, config: FlowConfig) -> None:
+    """One attempt for each live member: stacked stages and guard, then the
+    error test and the step-size update per member. Accepted members get
+    their new gain and FSAL stage written into k and fsal."""
+    h = np.array([member.h for member in members])[:, None, None]
+    rows, evals, k_old, k_new, rhs, grad, value, abscissa, err = _attempt(
+        pop[live], k[live], fsal[live], h, config)
+    for member, count in zip(members, evals.tolist()):
+        member.rhs_evals += count
+    guarded = np.ones(len(live), dtype=bool)
+    guarded[rows] = False
+    for r in np.flatnonzero(guarded):
+        if members[r].reject(0.5, guard=True):
+            outcomes[live[r]] = members[r].finish(STEP_FAILURE)
+
+    err_norms, old_norms, new_norms = _norms(err), _norms(k_old), _norms(k_new)
+    grad_norms = _norms(grad)
+    accepted = []
+    for j, r in enumerate(rows.tolist()):
+        member, err = members[r], err_norms[j]
+        tol = config.atol + config.rtol * max(old_norms[j], new_norms[j])
+        if not math.isfinite(err) or err > tol:
             factor = _STEP_SHRINK
-            if np.isfinite(err) and err > 0.0:
+            if math.isfinite(err) and err > 0.0:
                 factor = max(_STEP_SHRINK, _STEP_SAFETY * (tol / err) ** 0.2)
-            h *= factor
-            rejects += 1
-            if rejects >= _MAX_CONSECUTIVE_REJECTS:
-                break
+            if member.reject(factor, guard=False):
+                outcomes[live[r]] = member.finish(STEP_FAILURE)
             continue
-
-        t += h
-        k = k_new
-        f_first = rhs_new
-        rejects = 0
-        accepted += 1
-        last_sample = FlowSample(t, k_new, objective, grad_norm, abscissa_new)
-        if accepted % config.record_stride == 0:
-            samples.append(last_sample)
-        if grad_norm <= config.grad_tol:
-            status = CONVERGED_GRAD_TOL
-            break
+        member.t += member.h
+        member.rejects = 0
+        member.accepted += 1
+        member.last = FlowSample(member.t, k_new[j].copy(), float(value[j]), grad_norms[j],
+                                 float(abscissa[j]))
+        if member.accepted % config.record_stride == 0:
+            member.samples.append(member.last)
+        if grad_norms[j] <= config.grad_tol:
+            outcomes[live[r]] = member.finish(CONVERGED_GRAD_TOL)
+            continue
         factor = _STEP_GROW
         if err > 0.0:
             factor = min(_STEP_GROW, max(_STEP_SHRINK, _STEP_SAFETY * (tol / err) ** 0.2))
-        h *= factor
+        member.h *= factor
+        accepted.append(j)
+    k[live[rows[accepted]]] = k_new[accepted]
+    fsal[live[rows[accepted]]] = rhs[accepted]
 
-    if samples[-1].t != last_sample.t:
-        samples.append(last_sample)
-    return FlowTrajectory(samples=samples, status=status, k_final=k)
+
+def _attempt(pop: _Systems, k: np.ndarray, first: np.ndarray, h: np.ndarray,
+             config: FlowConfig):
+    """Dormand-Prince stages, endpoint and error estimate for a stack of
+    members at gains k with first stages first and step sizes h (L, 1, 1).
+
+    Returns (rows, evals, k, k_new, rhs, grad, value, abscissa, err): rows
+    are the members that passed the guard, and the arrays after evals hold
+    just those, in order; evals counts each member's evaluations.
+    """
+    rows = np.arange(len(k))
+    evals = np.zeros(len(k), dtype=int)
+    stages = [first]
+
+    def keep(ok, *arrays):
+        return [x[ok] for x in arrays]
+
+    for row in _A[1:]:
+        point = k + h * sum(c * s for c, s in zip(row, stages))
+        finite = np.isfinite(point).all(axis=(1, 2))
+        if not finite.all():
+            rows, pop, k, h, point, *stages = keep(finite, rows, pop, k, h, point, *stages)
+        evals[rows] += 1
+        cause, rhs, _, _ = _evaluate(pop, point, config)
+        ok = cause == 0
+        if not ok.all():
+            rows, pop, k, h, *stages = keep(ok, rows, pop, k, h, *stages)
+        stages.append(rhs)
+    k_new = k + h * sum(c * s for c, s in zip(_B5, stages) if c)
+    abscissa, failed = _abscissae(pop, k_new)
+    ok = ~failed & (abscissa < -TOL.stability_margin) & np.isfinite(k_new).all(axis=(1, 2))
+    if not ok.all():
+        rows, pop, k, h, k_new, abscissa, *stages = keep(ok, rows, pop, k, h, k_new, abscissa,
+                                                          *stages)
+    evals[rows] += 1
+    cause, rhs, grad, value = _evaluate(pop, k_new, config, objective=True)
+    ok = cause == 0
+    if not ok.all():
+        rows, k, h, k_new, abscissa, *stages = keep(ok, rows, k, h, k_new, abscissa, *stages)
+    stages.append(rhs)
+    err = h * sum(c * s for c, s in zip(_E, stages) if c)
+    return rows, evals, k, k_new, rhs, grad, value, abscissa, err
 
 
 def normalized_residuals(traj: FlowTrajectory, k_star) -> list[tuple[float, float]]:

@@ -220,6 +220,12 @@ def lyapunov_solve(a, load):
     load = matlin.as_stack(load, "load")
     if a.shape != load.shape or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"a {a.shape} and load {load.shape} must be square and of one shape")
+    return _lyapunov(a, load)
+
+
+def _lyapunov(a: np.ndarray, load: np.ndarray):
+    """lyapunov_solve on float arrays of one shape; a (B, n, n) stack goes
+    through matlin._solve_slices without the input checks."""
     n = a.shape[-1]
     eye = np.eye(n)
     # entry (i*n + p, j*n + q) is eye[i, j] a[p, q] + a[i, j] eye[p, q]
@@ -230,15 +236,21 @@ def lyapunov_solve(a, load):
     rhs = -load.swapaxes(-1, -2).reshape(load.shape[:-2] + (n * n,))
     if a.ndim == 2:
         return matlin.solve_linear(coeff, rhs).reshape((n, n)).T
-    x, singular = matlin.solve_linear(coeff, rhs)
+    x, singular = matlin._solve_slices(coeff, rhs)
     return x.reshape(x.shape[:1] + (n, n)).swapaxes(-1, -2), singular
+
+
+def _value_load(sys: SystemInstance, k: np.ndarray) -> np.ndarray:
+    """Q + K^T R K, for one gain or slice by slice; sys may be a stack of
+    systems with per-slice q and r."""
+    return sys.q + k.swapaxes(-1, -2) @ sys.r @ k
 
 
 def _value_equation(sys: SystemInstance, k: np.ndarray, a_k: np.ndarray):
     """(raw solution, load) of A_K^T P + P A_K + Q + K^T R K = 0 for one
     gain, or for a stack with the raw solution as (X, singular); the raw
     solution is not yet symmetrized."""
-    load = sys.q + k.swapaxes(-1, -2) @ sys.r @ k
+    load = _value_load(sys, k)
     return lyapunov_solve(a_k.swapaxes(-1, -2), load), load
 
 
@@ -272,8 +284,15 @@ def care_residual(sys: SystemInstance, p) -> np.ndarray:
     a (B, n, n) stack."""
     p = matlin.as_stack(p, "p")
     bt_p = sys.b.T @ p
-    return (sys.a.T @ p + p @ sys.a
-            - bt_p.swapaxes(-1, -2) @ matlin.solve_linear(sys.r, bt_p) + sys.q)
+    return _care_residual(sys, p, bt_p, matlin.solve_linear(sys.r, bt_p))
+
+
+def _care_residual(sys: SystemInstance, p: np.ndarray, bt_p: np.ndarray,
+                   gain_p: np.ndarray) -> np.ndarray:
+    """care_residual from B^T P and R^{-1} B^T P already at hand; sys may be
+    a stack of systems."""
+    return (sys.a.swapaxes(-1, -2) @ p + p @ sys.a
+            - bt_p.swapaxes(-1, -2) @ gain_p + sys.q)
 
 
 def value_matrices(sys: SystemInstance, k) -> tuple[np.ndarray, np.ndarray]:

@@ -119,16 +119,26 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, tol: Tolerances):
         return np.array([_lu_solve(lu, piv, b_i) for b_i in b]).reshape(b.shape)
     if a.shape[-1] == 0:
         raise SingularMatrix("empty matrix")
-    factors = [lapack.dgetrf(a_i) for a_i in a]
-    if any(info < 0 for _, _, info in factors):
-        raise ValueError("dgetrf: illegal argument")
-    # the pivot rule of _lu_factor, for all slices at once
-    lu = np.array([f[0] for f in factors]).reshape(a.shape)
+    return _solve_slices(a, b, tol)
+
+
+def _solve_slices(a: np.ndarray, b: np.ndarray, tol: Tolerances = TOL):
+    """solve_linear on a (B, N, N) stack without its input checks:
+    (x, singular), NaN in flagged slices.
+
+    Each slice is one LAPACK dgesv call, which is dgetrf then dgetrs in one
+    call: its factors and solution equal theirs bit for bit.
+    """
+    lu, x = np.empty(a.shape), np.empty(b.shape)
+    for i, (a_i, b_i) in enumerate(zip(a, b)):
+        lu[i], _, x[i], info = lapack.dgesv(a_i, b_i)
+        if info < 0:
+            raise ValueError(f"dgesv: illegal argument {-info}")
+    # the pivot rule of _lu_factor, for all slices at once (an exactly zero
+    # pivot, LAPACK info > 0, is caught here too)
     pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
     singular = pivots <= tol.pivot_rel * np.abs(a).max(axis=(1, 2))
-    x = np.full(b.shape, np.nan)
-    for i in np.flatnonzero(~singular):
-        x[i] = _lu_solve(factors[i][0], factors[i][1], b[i])
+    x[singular] = np.nan
     return x, singular
 
 
@@ -179,7 +189,11 @@ def spectrum(a) -> Spectrum:
 
 def sym_part(a) -> np.ndarray:
     """Symmetric part (a + a^T) / 2, of one matrix or of each in a stack."""
-    m = _require_square(as_stack(a, "a"), "a")
+    return _sym(_require_square(as_stack(a, "a"), "a"))
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    """sym_part without its input checks."""
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 

@@ -148,6 +148,19 @@ class TestRunBenchmark:
             assert (s.q1[kind][finite] <= s.median[kind][finite] + 1e-15).all()
             assert (s.median[kind][finite] <= s.q3[kind][finite] + 1e-15).all()
 
+    def test_one_integrate_call_per_flow(self, monkeypatch):
+        calls = []
+        original = flow.integrate
+
+        def counted(systems, k0s, config):
+            calls.append((config.kind, len(systems), np.shape(k0s)))
+            return original(systems, k0s, config)
+
+        monkeypatch.setattr(flow, "integrate", counted)
+        config = BenchConfig(num_instances=3, seed=2, time_grid=(0.0, 1.0, 2.0))
+        bench.run_benchmark(config)
+        assert calls == [(kind, 3, (3, 1, 2)) for kind in config.flows]
+
     def test_failures_do_not_abort(self, monkeypatch):
         calls = {"n": 0}
         original = lqr_core.kleinman

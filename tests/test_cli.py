@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gainflow import bench, cli, lqr_core
+from gainflow import bench, cli, lqr_core, matlin
+from gainflow.errors import GainflowError
 
 DEMO = {
     "n": 2, "m": 1,
@@ -174,6 +175,24 @@ class TestEval:
         assert all(w > 0 for w in result["y_eigs"])
 
 
+    @pytest.mark.parametrize("objective", ["bellman", "lqr"])
+    def test_one_spectrum_and_two_lyapunov_solves(self, capsys, demo_path, monkeypatch,
+                                                   objective):
+        # the domain comes from one spectrum; P and X (or Y) are solved once
+        calls = {"spectrum": 0, "lyapunov_solve": 0}
+        for module, name in ((matlin, "spectrum"), (lqr_core, "lyapunov_solve")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, ["eval", demo_path, "--k", "0.3,0.2", "--objective", objective])
+        assert code == 0
+        assert calls == {"spectrum": 1, "lyapunov_solve": 2}
+
+
 class TestFlow:
     def test_demo_trajectory(self, capsys, demo_path, tmp_path):
         out_csv = tmp_path / "traj.csv"
@@ -197,6 +216,10 @@ class TestFlow:
         # final CSV row matches the JSON summary
         assert rows[-1][1] == summary["k_final"][0][0]
         assert rows[-1][2] == summary["k_final"][0][1]
+        stats = summary["stats"]
+        assert list(stats) == ["accepted", "error_rejects", "guard_rejects", "rhs_evals"]
+        assert stats["accepted"] == summary["samples"] - 1
+        assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["error_rejects"])
 
     def test_unstable_k0_exits_3(self, capsys, demo_path, tmp_path):
         code, _, err = run(capsys, ["flow", demo_path, "--kind", "lqr",
@@ -323,6 +346,19 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "OutputError"
+
+    @pytest.mark.parametrize("error", [GainflowError("synthetic failure"),
+                                       np.linalg.LinAlgError("synthetic failure")])
+    def test_numerical_failure_exits_4(self, capsys, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bench, "run_benchmark", fail)
+        cfg = self.write_config(tmp_path)
+        code, out, err = run(capsys, ["bench", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert out == ""
+        assert json.loads(err) == {"error": type(error).__name__, "message": "synthetic failure"}
 
     def test_seed_flag_overrides(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, {"num_instances": 2, "seed": 1,

@@ -1,11 +1,16 @@
 """Integrator behavior: right-hand sides, convergence to the oracle gain,
-invariant-set preservation, descent, and residual bookkeeping."""
+invariant-set preservation, descent, residual bookkeeping, the stacked
+evaluation kernel, and population runs that match one-gain runs bit for
+bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from gainflow import bellman, cost_flow, flow, lqr_core
+from gainflow import bellman, bench, cost_flow, flow, lqr_core, matlin
+from gainflow.bench import BenchConfig
 from gainflow.errors import DegenerateStart, NotStabilizing, SingularMatrix
 from gainflow.flow import FlowConfig
 
@@ -176,3 +181,177 @@ class TestNormalizedResiduals:
         res = flow.normalized_residuals(traj, k_star)
         tail = res[len(res) // 10:]
         assert fit_r2(tail) >= 0.95
+
+
+class TestFlowStats:
+    @pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+    def test_counts_steps_and_evaluations(self, demo_sys, kind):
+        traj = flow.integrate(demo_sys, [[0.0, 0.0]], FlowConfig(kind=kind))
+        stats = traj.stats
+        assert stats.accepted == len(traj.samples) - 1
+        assert stats.guard_rejects == 0
+        # the start, then five stages and the endpoint per attempt
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.error_rejects)
+
+    def test_guard_rejects_are_counted(self, demo_sys):
+        # loose tolerances let the step grow until endpoints leave the
+        # stabilizing set; each such attempt stops after its five stages
+        config = FlowConfig(kind="bellman", rtol=1e-2, atol=1e-2, max_steps=400)
+        stats = flow.integrate(demo_sys, [[0.0, -0.99]], config).stats
+        assert stats.guard_rejects > 0
+        assert stats.accepted + stats.error_rejects + stats.guard_rejects == 400
+        assert stats.rhs_evals == (1 + 6 * (stats.accepted + stats.error_rejects)
+                                   + 5 * stats.guard_rejects)
+
+    def test_converged_start_has_no_steps(self, demo_sys):
+        k_star = lqr_core.kleinman(demo_sys, [[0.0, 0.0]], tol=1e-13).k_star
+        traj = flow.integrate(demo_sys, k_star, FlowConfig(kind="bellman"))
+        assert traj.stats == flow.FlowStats(accepted=0, error_rejects=0, guard_rejects=0,
+                                            rhs_evals=1)
+
+
+# The stacked kernel: populations of random 2..4-state instances with SPD
+# weights, each member at a stabilizing gain of its own system.
+kernel_cases = st.tuples(st.integers(2, 4), st.integers(1, 2), st.integers(1, 6),
+                         st.integers(0, 2**32 - 1))
+
+PUBLIC_DIRECTIONS = {
+    "bellman": lambda sys_, k: bellman.bellman_gradient(sys_, k).grad,
+    "lqr": cost_flow.lqr_gradient,
+    "natural": cost_flow.natural_gradient,
+}
+
+
+def _kernel_population(n, m, size, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [helpers.stabilizing_pair(rng, n, m, identity_weights=False) for _ in range(size)]
+    return [sys_ for sys_, _ in pairs], np.array([k for _, k in pairs])
+
+
+@pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+@given(case=kernel_cases)
+@settings(max_examples=25, deadline=None)
+def test_stacked_kernel_equals_one_gain_evaluation(kind, case):
+    systems, ks = _kernel_population(*case)
+    config = FlowConfig(kind=kind)
+    cause, rhs, grad, value = flow._evaluate(flow._Systems.of(systems), ks, config,
+                                             objective=True)
+    assert not cause.any()
+    norms = flow._norms(grad)
+    for i, (sys_, k) in enumerate(zip(systems, ks)):
+        one_rhs, one_norm, one_value = flow._point_eval(sys_, k, config)
+        assert rhs[i].tobytes() == one_rhs.tobytes()
+        assert (norms[i], float(value[i])) == (one_norm, one_value)
+        # the one-gain public functions take their own, unstacked path
+        public = PUBLIC_DIRECTIONS[kind](sys_, k)
+        assert grad[i].tobytes() == public.tobytes()
+        assert norms[i] == float(np.linalg.norm(public))
+
+
+@pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+@given(case=kernel_cases, order_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_stacked_kernel_does_not_depend_on_order(kind, case, order_seed):
+    systems, ks = _kernel_population(*case)
+    perm = np.random.default_rng(order_seed).permutation(len(ks))
+    undo = np.argsort(perm)
+    config = FlowConfig(kind=kind)
+    _, rhs, grad, value = flow._evaluate(flow._Systems.of(systems), ks, config, objective=True)
+    _, rhs_p, grad_p, value_p = flow._evaluate(
+        flow._Systems.of([systems[i] for i in perm]), ks[perm], config, objective=True)
+    assert rhs_p[undo].tobytes() == rhs.tobytes()
+    assert grad_p[undo].tobytes() == grad.tobytes()
+    assert value_p[undo].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+def test_kernel_drops_a_singular_member_alone(demo_sys, kind):
+    # [[0.3, -1.3]] puts the demo closed loop on the sigma-set boundary
+    ks = np.array([[[0.0, 0.0]], [[0.3, -1.3]], [[1.0, 0.5]]])
+    config = FlowConfig(kind=kind)
+    cause, rhs, _, _ = flow._evaluate(flow._Systems.of([demo_sys] * 3), ks, config)
+    assert cause.tolist() == [0, flow._SINGULAR, 0]
+    for row, k in zip(rhs, ks[[0, 2]]):
+        assert row.tobytes() == flow._point_eval(demo_sys, k, config)[0].tobytes()
+
+
+# Population runs: instances 0..5 of the seed-0 study with the study's flow
+# settings, integrated one at a time and as populations in either order.
+@pytest.fixture(scope="module")
+def study_population():
+    config = BenchConfig(seed=0)
+    triples = [bench._draw_triple(config, np.random.default_rng(bench.instance_seed(0, i)))
+               for i in range(6)]
+    return [sys_ for sys_, _ in triples], np.array([k0 for _, k0 in triples])
+
+
+def assert_same_run(a, b):
+    assert (a.status, a.stats, len(a.samples)) == (b.status, b.stats, len(b.samples))
+    for x, y in zip(a.samples, b.samples):
+        assert (x.t, x.objective, x.grad_norm, x.abscissa) == (y.t, y.objective, y.grad_norm,
+                                                               y.abscissa)
+        assert x.k.tobytes() == y.k.tobytes()
+    assert a.k_final.tobytes() == b.k_final.tobytes()
+
+
+@pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+def test_population_members_match_lone_runs(study_population, kind):
+    systems, k0s = study_population
+    config = FlowConfig(kind=kind, **bench._BENCH_FLOW[kind])
+    alone = [flow.integrate(sys_, k0, config) for sys_, k0 in zip(systems, k0s)]
+    forward = flow.integrate(systems, k0s, config)
+    backward = flow.integrate(systems[::-1], k0s[::-1], config)[::-1]
+    for one, a, b in zip(alone, forward, backward):
+        assert_same_run(one, a)
+        assert_same_run(one, b)
+
+
+def test_failing_members_keep_their_own_status(study_population):
+    systems, k0s = study_population
+    # a step budget that some members exhaust and others do not
+    config = FlowConfig(kind="lqr", **bench._BENCH_FLOW["lqr"], max_steps=150)
+    alone = [flow.integrate(sys_, k0, config) for sys_, k0 in zip(systems, k0s)]
+    statuses = {traj.status for traj in alone}
+    assert flow.STEP_FAILURE in statuses and len(statuses) > 1
+    # a zero gain does not stabilize a system whose A is unstable
+    unstable = next(sys_ for sys_ in systems if matlin.spectrum(sys_.a).abscissa >= 0.0)
+    outcomes = flow.integrate([unstable] + systems, np.concatenate([np.zeros((1, 1, 2)), k0s]),
+                              config)
+    assert isinstance(outcomes[0], NotStabilizing)
+    for one, other in zip(alone, outcomes[1:]):
+        assert_same_run(one, other)
+
+
+def test_guard_rejected_member_leaves_the_others_alone(demo_sys):
+    config = FlowConfig(kind="bellman", rtol=1e-2, atol=1e-2, max_steps=400)
+    k0s = np.array([[[0.5, 0.5]], [[0.0, -0.99]], [[0.0, 0.0]]])
+    alone = [flow.integrate(demo_sys, k0, config) for k0 in k0s]
+    assert alone[1].stats.guard_rejects > 0
+    for one, other in zip(alone, flow.integrate([demo_sys] * 3, k0s, config)):
+        assert_same_run(one, other)
+
+
+class TestPopulationInput:
+    def test_empty_population(self):
+        assert flow.integrate([], np.zeros((0, 1, 2)), FlowConfig(kind="lqr")) == []
+
+    def test_rejects_mixed_shapes(self, demo_sys, scalar_sys):
+        with pytest.raises(ValueError):
+            flow.integrate([demo_sys, scalar_sys], np.zeros((2, 1, 2)), FlowConfig(kind="lqr"))
+
+    def test_rejects_wrong_gain_stack(self, demo_sys):
+        with pytest.raises(ValueError):
+            flow.integrate([demo_sys, demo_sys], np.zeros((3, 1, 2)), FlowConfig(kind="lqr"))
+
+    def test_unstable_member_outcome_is_an_error_value(self, demo_sys):
+        outcomes = flow.integrate([demo_sys, demo_sys], [[[0.0, 0.0]], [[0.0, -2.0]]],
+                                  FlowConfig(kind="bellman"))
+        assert outcomes[0].status == flow.CONVERGED_GRAD_TOL
+        assert isinstance(outcomes[1], NotStabilizing)
+
+    @pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+    def test_no_member_can_start(self, demo_sys, kind):
+        # the first evaluation then runs on an empty stack
+        outcomes = flow.integrate([demo_sys, demo_sys], [[[0.0, -2.0]], [[0.0, -3.0]]],
+                                  FlowConfig(kind=kind))
+        assert [type(outcome) for outcome in outcomes] == [NotStabilizing, NotStabilizing]
