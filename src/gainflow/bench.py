@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bellman, flow, lqr_core, matlin
+from . import flow, kernel, lqr_core, matlin
 from .errors import GainflowError, GenerationFailure, SamplingFailure
 from .flow import FlowConfig, FlowTrajectory
 from .lqr_core import SystemInstance
@@ -283,8 +283,9 @@ def grid_eval(sys: SystemInstance, k1_range, k2_range, resolution,
 
     Cells are evaluated in stacks of _GRID_CHUNK gains: one batched spectrum
     gives the stability bits and sigma-set membership, and the sigma-set
-    cells go through the stacked value equation. Each value equals the
-    one-gain result (bellman_error(...).e, or tr P_K) bit for bit.
+    cells go through the kernel's value step, with no gradient. Each value
+    equals the one-gain result (bellman_error(...).e, or tr P_K) bit for
+    bit.
     """
     if sys.n != 2 or sys.m != 1:
         raise ValueError("grid evaluation needs n = 2, m = 1")
@@ -300,11 +301,7 @@ def grid_eval(sys: SystemInstance, k1_range, k2_range, resolution,
         cells = slice(start, start + _GRID_CHUNK)
         _, stable[cells], in_sigma = lqr_core.gain_domain(sys, gains[cells])
         idx = start + np.flatnonzero(in_sigma)
-        p, singular = lqr_core.value_matrices(sys, gains[idx])
-        idx, p = idx[~singular], p[~singular]
-        if objective == "bellman":
-            values[idx] = bellman._error_value(lqr_core.care_residual(sys, p))
-        else:
-            values[idx] = np.trace(p, axis1=-2, axis2=-1)
+        ev = kernel.values(sys, gains[idx], objective, objective=True)
+        values[idx[ev.rows]] = ev.value
     return GridResult(k1=k1s, k2=k2s, values=values.reshape(k1s.size, k2s.size),
                       stable=stable.reshape(k1s.size, k2s.size))

@@ -4,9 +4,12 @@ Subcommands: care (policy-iteration oracle), eval (objective at one gain),
 flow (trajectory integration to CSV), grid (2-d objective grid to CSV), and
 bench (the comparative convergence study).
 
-Exit codes are a stable contract: 0 success, 2 input error, 3 domain or
-precondition error, 4 numerical failure; an output path that cannot be
-written exits 2 with error OutputError. Structured results go to standard
+Exit codes are a stable contract: 0 success; 2 input error (an instance
+file with asymmetric weights included), and an output path that cannot be
+written, with error OutputError; 3 domain or precondition error
+(NotStabilizing, NotInSigmaSet, SingularMatrix, SamplingFailure); 4
+numerical failure (any other GainflowError, a LinAlgError, or a flow that
+ends in StepFailure). Structured results go to standard
 output as JSON; time and grid series go to CSV files. Every float is
 emitted with 17 significant digits so parsing the text recovers the exact
 binary value.
@@ -23,11 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bellman, bench, cost_flow, flow, lqr_core
-from .errors import GainflowError
+from . import bench, errors, flow, kernel, lqr_core, matlin
 from .lqr_core import SystemInstance
 
-_INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError)
+_INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError, errors.NotSymmetric)
+
+# Errors of the computation that exit 3: the input lies outside the domain
+# or breaks a precondition. Any other GainflowError, and a LinAlgError,
+# is a numerical failure and exits 4.
+_DOMAIN_ERRORS = (errors.NotStabilizing, errors.NotInSigmaSet, errors.SingularMatrix,
+                  errors.SamplingFailure)
 
 
 def fmt_float(x: float) -> str:
@@ -125,12 +133,9 @@ def cmd_care(args) -> int:
             k0 = None
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
-    try:
-        if k0 is None:
-            k0 = bench.sample_stabilizing_gain(sys_, np.random.default_rng(args.seed))
-        result = lqr_core.kleinman(sys_, k0, tol=args.tol, max_iter=args.max_iter)
-    except GainflowError as exc:
-        return _fail(3, type(exc).__name__, exc)
+    if k0 is None:
+        k0 = bench.sample_stabilizing_gain(sys_, np.random.default_rng(args.seed))
+    result = lqr_core.kleinman(sys_, k0, tol=args.tol, max_iter=args.max_iter)
     _print({
         "p_star": _rows(result.p_star),
         "k_star": _rows(result.k_star),
@@ -146,32 +151,32 @@ def cmd_eval(args) -> int:
         k = _parse_gain(args.k, sys_.m, sys_.n)
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
-    # the domain is read once, from one spectrum; the helpers below skip the
-    # domain tests of the public functions and solve P once
+    # the domain is read once, from one spectrum; the kernel then solves P
+    # and X (or P and Y) once each
     abscissa, in_k, in_k_sigma = lqr_core.gain_domain(sys_, k)
     out: dict = {}
-    try:
-        if args.objective == "bellman":
-            if not in_k_sigma:
-                return _fail(3, "NotInSigmaSet", "gain is outside the effective domain")
-            ev = bellman._error_eval(sys_, k, lqr_core._value_solution(sys_, k))
-            out["value"] = ev.e
-            if in_k:
-                a_k = lqr_core.closed_loop(sys_, k)
-                out["grad"] = _rows(bellman._gradient_pieces(sys_, k, a_k, ev.p.p)[0])
-            else:
-                out["grad"] = None
-                out["grad_reason"] = "gain is not in the stabilizing set"
-            out["m_eigs"] = [float(w) for w in np.linalg.eigvalsh(ev.m_matrix)]
+    if args.objective == "bellman":
+        if not in_k_sigma:
+            return _fail(3, "NotInSigmaSet", "gain is outside the effective domain")
+        ev = kernel.values(sys_, k[None], "bellman", objective=True)
+        if in_k:
+            kernel.directions(ev, "bellman")
+        kernel.single(ev)
+        out["value"] = float(ev.value[0])
+        if in_k:
+            out["grad"] = _rows(ev.grad[0])
         else:
-            if not in_k:
-                return _fail(3, "NotStabilizing", "the cost needs a stabilizing gain")
-            ce = cost_flow._cost_eval(sys_, k, cost_flow._check_sigma0(sys_, None))
-            out["value"] = ce.f
-            out["grad"] = _rows(cost_flow._cost_gradient(sys_, k, ce.p.p, ce.y_matrix))
-            out["y_eigs"] = [float(w) for w in np.linalg.eigvalsh(ce.y_matrix)]
-    except GainflowError as exc:
-        return _fail(3, type(exc).__name__, exc)
+            out["grad"] = None
+            out["grad_reason"] = "gain is not in the stabilizing set"
+        out["m_eigs"] = [float(w) for w in np.linalg.eigvalsh(matlin._sym(ev.residual[0]))]
+    else:
+        if not in_k:
+            return _fail(3, "NotStabilizing", "the cost needs a stabilizing gain")
+        ev = kernel.single(kernel.evaluate(sys_, k[None], "lqr", objective=True,
+                                           s=np.eye(sys_.n)))
+        out["value"] = float(ev.value[0])
+        out["grad"] = _rows(ev.grad[0])
+        out["y_eigs"] = [float(w) for w in np.linalg.eigvalsh(ev.y[0])]
     out["abscissa"] = abscissa
     out["in_K"] = in_k
     out["in_K_sigma"] = in_k_sigma
@@ -201,10 +206,7 @@ def cmd_flow(args) -> int:
                                  grad_tol=args.grad_tol)
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
-    try:
-        traj = flow.integrate(sys_, k0, config)
-    except GainflowError as exc:
-        return _fail(3, type(exc).__name__, exc)
+    traj = flow.integrate(sys_, k0, config)
     _write_text(args.out, _trajectory_csv(sys_, traj))
     last = traj.samples[-1]
     _print({
@@ -289,10 +291,7 @@ def cmd_bench(args) -> int:
         return _fail(2, "InputError", exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before the study, not after it
-    try:
-        result = bench.run_benchmark(config)
-    except (GainflowError, np.linalg.LinAlgError) as exc:
-        return _fail(4, type(exc).__name__, exc)
+    result = bench.run_benchmark(config)
     grid = list(config.time_grid)
     for record in result.records:
         _write_text(out_dir / f"instance_{record.instance_id:04d}.csv",
@@ -396,6 +395,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:  # commands map their input errors, so this is output
         return _fail(2, "OutputError", exc)
+    except (errors.GainflowError, np.linalg.LinAlgError) as exc:
+        return _fail(3 if isinstance(exc, _DOMAIN_ERRORS) else 4, type(exc).__name__, exc)
 
 
 if __name__ == "__main__":

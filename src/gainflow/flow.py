@@ -1,8 +1,10 @@
 """Adaptive integration of gain-matrix gradient flows, for one gain or for a
 whole population of them.
 
-The right-hand side is -beta * grad e_K (Bellman error), -grad f_K (cost),
-or -(grad f_K) Y^{-gamma} (natural), integrated with the Dormand-Prince 5(4)
+This module is the integrator. The right-hand side comes from the
+evaluation kernel (kernel.py): -beta * grad e_K (Bellman error), -grad f_K
+(cost), or -(grad f_K) Y^{-gamma} (natural), with the identity as the
+Gramian load. It is integrated with the Dormand-Prince 5(4)
 embedded pair (Dormand & Prince, 1980) under standard proportional step
 control (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On top of the
 error test sits a stability guard: a proposed step whose endpoint has
@@ -35,16 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bellman, cost_flow, lqr_core, matlin
-from .errors import (
-    DegenerateStart,
-    GainflowError,
-    NoConvergence,
-    NonFiniteValue,
-    NotPD,
-    NotStabilizing,
-    SingularMatrix,
-)
+from . import kernel, lqr_core, matlin
+from .errors import DegenerateStart, GainflowError, NoConvergence, NotStabilizing
+from .kernel import Systems
 from .lqr_core import SystemInstance
 from .matlin import TOL
 
@@ -72,17 +67,6 @@ _MAX_CONSECUTIVE_REJECTS = 40
 _STEP_SAFETY = 0.9
 _STEP_SHRINK = 0.2
 _STEP_GROW = 5.0
-
-# Why the evaluation of one member broke down (0: it did not), and the error
-# a one-gain caller gets for it.
-_SINGULAR, _NOT_PD, _NON_FINITE, _NO_EIGS = 1, 2, 3, 4
-_BREAKDOWNS = {
-    _SINGULAR: (SingularMatrix, "a value, Gramian or preconditioner equation is singular"),
-    _NOT_PD: (NotPD, "Gramian is not positive definite"),
-    _NON_FINITE: (NonFiniteValue, "non-finite flow direction"),
-    _NO_EIGS: (NoConvergence, "eigenvalue iteration failed"),
-}
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -138,149 +122,7 @@ class FlowTrajectory:
     stats: FlowStats
 
 
-@dataclass(frozen=True, eq=False)
-class _Systems:
-    """(A, B, Q, R) of a population stacked over a leading axis. The formula
-    helpers written for one SystemInstance read the same attributes, so
-    they apply to it slice by slice."""
-
-    a: np.ndarray
-    b: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-    @classmethod
-    def of(cls, systems) -> _Systems:
-        return cls(*(np.stack([getattr(s, name) for s in systems]) for name in "abqr"))
-
-    def __getitem__(self, rows) -> _Systems:
-        return _Systems(self.a[rows], self.b[rows], self.q[rows], self.r[rows])
-
-
-def _breakdown(code) -> GainflowError:
-    error, message = _BREAKDOWNS[int(code)]
-    return error(message)
-
-
-def _evaluate(pop: _Systems, k: np.ndarray, config: FlowConfig, objective: bool = False):
-    """Flow direction at a (L, m, n) stack of gains, member i of pop at k[i].
-
-    Returns (cause, rhs, grad, value). cause is an (L,) array: 0 where the
-    evaluation went through, the breakdown code elsewhere. rhs, grad (whose
-    norm is the stopping test) and value (the objective, None unless asked
-    for) hold the members that went through, in order. A member leaves the
-    stack where its evaluation breaks down, so it never reaches another
-    member's arithmetic. The value equation, the gradient pieces, the
-    Gramian and the preconditioner all run once for the whole stack.
-    """
-    cause = np.zeros(len(k), dtype=np.int8)
-    rows = np.arange(len(k))
-
-    def drop(bad, code, *arrays):
-        # the members flagged in bad leave the stack, with their cause
-        nonlocal rows, pop, k
-        cause[rows[bad]] = code
-        keep = ~bad
-        rows, pop, k = rows[keep], pop[keep], k[keep]
-        return [x[keep] for x in arrays]
-
-    a_k = pop.a - pop.b @ k
-    a_t, load = a_k.swapaxes(-1, -2), lqr_core._value_load(pop, k)
-    if config.kind == "bellman":
-        raw, singular = lqr_core._lyapunov(a_t, load)
-        if singular.any():
-            a_k, raw = drop(singular, _SINGULAR, a_k, raw)
-    else:
-        # the Gramian equation A_K Y + Y A_K^T + I = 0 joins the value
-        # equation's stacked solve
-        eye = np.repeat(np.eye(k.shape[-1])[None], len(k), axis=0)
-        both, singular = lqr_core._lyapunov(np.concatenate([a_t, a_k]),
-                                            np.concatenate([load, eye]))
-        raw, y = both[:len(k)], both[len(k):]
-        singular = singular[:len(k)] | singular[len(k):]
-        if singular.any():
-            raw, y = drop(singular, _SINGULAR, raw, y)
-    p = matlin._sym(raw)
-    value = None
-    if config.kind == "bellman":
-        bt_p = pop.b.swapaxes(-1, -2) @ p
-        # R^{-1} B^T P, solved once for both A~ and the CARE residual
-        gain_p, singular = matlin._solve_slices(pop.r, bt_p)
-        if singular.any():
-            a_k, p, bt_p, gain_p = drop(singular, _SINGULAR, a_k, p, bt_p, gain_p)
-        x, singular = lqr_core._lyapunov(a_k, matlin._sym(bellman._a_tilde(pop, gain_p)))
-        if singular.any():
-            p, bt_p, gain_p, x = drop(singular, _SINGULAR, p, bt_p, gain_p, x)
-        grad = bellman._gradient(pop, k, bt_p, matlin._sym(x))
-        rhs = -config.beta * grad
-        if objective:
-            value = bellman._error_value(lqr_core._care_residual(pop, p, bt_p, gain_p))
-    else:
-        y = matlin._sym(y)
-        grad = cost_flow._cost_gradient(pop, k, p, y)
-        if config.kind == "natural":
-            p, grad = _precondition_stack(drop, p, grad, y, config.gamma)
-        rhs = -grad
-        if objective:
-            value = np.trace(p, axis1=-2, axis2=-1)
-    bad = ~np.isfinite(rhs).all(axis=(1, 2))
-    if bad.any() and value is None:
-        rhs, grad = drop(bad, _NON_FINITE, rhs, grad)
-    elif bad.any():
-        rhs, grad, value = drop(bad, _NON_FINITE, rhs, grad, value)
-    return cause, rhs, grad, value
-
-
-def _precondition_stack(drop, p, grad, y, gamma: float):
-    """cost_flow._precondition for each member of a stack: (p, direction)
-    for the members whose Gramian is positive definite and whose solve goes
-    through; drop removes the others from the stack."""
-    bad = ~np.isfinite(y).all(axis=(1, 2))
-    if bad.any():
-        p, grad, y = drop(bad, _NON_FINITE, p, grad, y)
-    w_min = _min_eigenvalues(y)
-    failed = np.isnan(w_min)
-    if failed.any():
-        p, grad, y, w_min = drop(failed, _NO_EIGS, p, grad, y, w_min)
-    not_pd = w_min <= cost_flow._GRAMIAN_PD_FLOOR
-    if not_pd.any():
-        p, grad, y = drop(not_pd, _NOT_PD, p, grad, y)
-    if gamma == 1.0:
-        x, singular = matlin._solve_slices(y, grad.swapaxes(-1, -2))
-        if singular.any():
-            p, x = drop(singular, _SINGULAR, p, x)
-        # C order, as the one-gain x.T: later products see the same layout
-        return p, np.ascontiguousarray(x.swapaxes(-1, -2))
-    # one member at a time: a stacked w ** -gamma can round differently
-    out, failed = np.full(grad.shape, np.nan), np.zeros(len(grad), dtype=bool)
-    for i in range(len(grad)):
-        try:
-            out[i] = cost_flow._gramian_power(grad[i], y[i], gamma)
-        except np.linalg.LinAlgError:
-            failed[i] = True
-    if failed.any():
-        p, out = drop(failed, _NO_EIGS, p, out)
-    return p, out
-
-
-def _min_eigenvalues(y: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric slice, from one batched call;
-    when that call fails, each slice is retried alone, and the slices that
-    fail again get NaN."""
-    try:
-        return np.linalg.eigvalsh(y).min(axis=-1)
-    except np.linalg.LinAlgError:
-        pass
-    w_min = np.full(len(y), np.nan)
-    for i, y_i in enumerate(y):
-        try:
-            w_min[i] = np.linalg.eigvalsh(y_i).min()
-        except np.linalg.LinAlgError:
-            continue
-    return w_min
-
-
-def _abscissae(pop: _Systems, k: np.ndarray):
+def _abscissae(pop: Systems, k: np.ndarray):
     """(abscissa, failed) of each closed loop A - B K, from one batched
     spectrum; a non-finite closed loop, or one whose eigenvalue iteration
     fails on its own, is flagged instead."""
@@ -307,17 +149,11 @@ def _norms(stack: np.ndarray) -> list[float]:
     return [math.sqrt(row.dot(row)) for row in rows]
 
 
-def _point_eval(sys: SystemInstance, k: np.ndarray, config: FlowConfig):
-    """(rhs, grad_norm, objective) at one validated gain, as a population of
-    one; raises the error that stopped the evaluation.
-
-    Skips the stabilizing-set test; callers relying on that precondition
-    must make it themselves.
-    """
-    cause, rhs, grad, value = _evaluate(_Systems.of([sys]), k[None], config, objective=True)
-    if cause[0]:
-        raise _breakdown(cause[0])
-    return rhs[0], _norms(grad)[0], float(value[0])
+def _evaluate(pop, k: np.ndarray, config: FlowConfig, objective: bool = False):
+    """The evaluation kernel under the flow's settings; the cost flows take
+    the identity as the Gramian load."""
+    return kernel.evaluate(pop, k, config.kind, config.beta, config.gamma, objective,
+                           np.eye(k.shape[-1]))
 
 
 def flow_rhs(sys: SystemInstance, k, config: FlowConfig) -> np.ndarray:
@@ -325,8 +161,7 @@ def flow_rhs(sys: SystemInstance, k, config: FlowConfig) -> np.ndarray:
     k = lqr_core.as_gain(sys, k)
     if not lqr_core.in_stabilizing_set(sys, k):
         raise NotStabilizing("flow is only defined on the stabilizing set")
-    rhs, _, _ = _point_eval(sys, k, config)
-    return rhs
+    return kernel.single(_evaluate(sys, k[None], config)).rhs[0]
 
 
 def _initial_step(k_norm: float, rhs_norm: float, config: FlowConfig) -> float:
@@ -388,7 +223,7 @@ def integrate(sys, k0, config: FlowConfig):
     """
     if isinstance(sys, SystemInstance):
         k = lqr_core.as_gain(sys, k0)[None].copy()
-        outcome = _integrate(_Systems.of([sys]), k, config)[0]
+        outcome = _integrate(Systems.of([sys]), k, config)[0]
         if isinstance(outcome, GainflowError):
             raise outcome
         return outcome
@@ -403,10 +238,10 @@ def integrate(sys, k0, config: FlowConfig):
     k = matlin.as_stack(k0, "k0")
     if k.shape != (len(systems), m, n):
         raise ValueError(f"k0 must be a ({len(systems)}, {m}, {n}) stack, got {k.shape}")
-    return _integrate(_Systems.of(systems), k.copy(), config)
+    return _integrate(Systems.of(systems), k.copy(), config)
 
 
-def _integrate(pop: _Systems, k: np.ndarray, config: FlowConfig) -> list:
+def _integrate(pop: Systems, k: np.ndarray, config: FlowConfig) -> list:
     outcomes: list = [None] * len(k)
     abscissa, failed = _abscissae(pop, k)
     for i in np.flatnonzero(failed):
@@ -414,23 +249,23 @@ def _integrate(pop: _Systems, k: np.ndarray, config: FlowConfig) -> list:
     for i in np.flatnonzero(~failed & (abscissa >= -TOL.stability_margin)):
         outcomes[i] = NotStabilizing("initial gain is not stabilizing")
     rows = np.array([i for i, outcome in enumerate(outcomes) if outcome is None], dtype=int)
-    cause, rhs, grad, value = _evaluate(pop[rows], k[rows], config, objective=True)
-    for i, code in zip(rows[cause != 0], cause[cause != 0]):
-        outcomes[i] = _breakdown(code)
-    rows = rows[cause == 0]
+    ev = _evaluate(pop[rows], k[rows], config, objective=True)
+    for i, code in zip(rows[ev.cause != 0], ev.cause[ev.cause != 0]):
+        outcomes[i] = kernel.breakdown(code)
+    rows = rows[ev.cause == 0]
 
     # per-member state; the gains and FSAL stages of all members stay stacked
     members: dict[int, _Member] = {}
     fsal = np.empty_like(k)
-    grad_norms, k_norms, rhs_norms = _norms(grad), _norms(k[rows]), _norms(rhs)
+    grad_norms, k_norms, rhs_norms = _norms(ev.grad), _norms(k[rows]), _norms(ev.rhs)
     for j, i in enumerate(rows):
-        member = _Member(FlowSample(0.0, k[i].copy(), float(value[j]), grad_norms[j],
+        member = _Member(FlowSample(0.0, k[i].copy(), float(ev.value[j]), grad_norms[j],
                                     float(abscissa[i])))
         if grad_norms[j] <= config.grad_tol:
             outcomes[i] = member.finish(CONVERGED_GRAD_TOL)
             continue
         member.h = _initial_step(k_norms[j], rhs_norms[j], config)
-        fsal[i] = rhs[j]
+        fsal[i] = ev.rhs[j]
         members[i] = member
 
     active = sorted(members)
@@ -455,7 +290,7 @@ def _integrate(pop: _Systems, k: np.ndarray, config: FlowConfig) -> list:
     return outcomes
 
 
-def _step(pop: _Systems, k: np.ndarray, fsal: np.ndarray, members: list[_Member],
+def _step(pop: Systems, k: np.ndarray, fsal: np.ndarray, members: list[_Member],
           live: np.ndarray, outcomes: list, config: FlowConfig) -> None:
     """One attempt for each live member: stacked stages and guard, then the
     error test and the step-size update per member. Accepted members get
@@ -503,7 +338,7 @@ def _step(pop: _Systems, k: np.ndarray, fsal: np.ndarray, members: list[_Member]
     fsal[live[rows[accepted]]] = rhs[accepted]
 
 
-def _attempt(pop: _Systems, k: np.ndarray, first: np.ndarray, h: np.ndarray,
+def _attempt(pop: Systems, k: np.ndarray, first: np.ndarray, h: np.ndarray,
              config: FlowConfig):
     """Dormand-Prince stages, endpoint and error estimate for a stack of
     members at gains k with first stages first and step sizes h (L, 1, 1).
@@ -525,11 +360,11 @@ def _attempt(pop: _Systems, k: np.ndarray, first: np.ndarray, h: np.ndarray,
         if not finite.all():
             rows, pop, k, h, point, *stages = keep(finite, rows, pop, k, h, point, *stages)
         evals[rows] += 1
-        cause, rhs, _, _ = _evaluate(pop, point, config)
-        ok = cause == 0
+        ev = _evaluate(pop, point, config)
+        ok = ev.cause == 0
         if not ok.all():
             rows, pop, k, h, *stages = keep(ok, rows, pop, k, h, *stages)
-        stages.append(rhs)
+        stages.append(ev.rhs)
     k_new = k + h * sum(c * s for c, s in zip(_B5, stages) if c)
     abscissa, failed = _abscissae(pop, k_new)
     ok = ~failed & (abscissa < -TOL.stability_margin) & np.isfinite(k_new).all(axis=(1, 2))
@@ -537,13 +372,13 @@ def _attempt(pop: _Systems, k: np.ndarray, first: np.ndarray, h: np.ndarray,
         rows, pop, k, h, k_new, abscissa, *stages = keep(ok, rows, pop, k, h, k_new, abscissa,
                                                           *stages)
     evals[rows] += 1
-    cause, rhs, grad, value = _evaluate(pop, k_new, config, objective=True)
-    ok = cause == 0
+    ev = _evaluate(pop, k_new, config, objective=True)
+    ok = ev.cause == 0
     if not ok.all():
         rows, k, h, k_new, abscissa, *stages = keep(ok, rows, k, h, k_new, abscissa, *stages)
-    stages.append(rhs)
+    stages.append(ev.rhs)
     err = h * sum(c * s for c, s in zip(_E, stages) if c)
-    return rows, evals, k, k_new, rhs, grad, value, abscissa, err
+    return rows, evals, k, k_new, ev.rhs, ev.grad, ev.value, abscissa, err
 
 
 def normalized_residuals(traj: FlowTrajectory, k_star) -> list[tuple[float, float]]:

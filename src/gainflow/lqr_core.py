@@ -7,17 +7,17 @@ solves
 
     A_K^T P + P A_K + Q + K^T R K = 0,
 
-which this module solves through the n^2 x n^2 Kronecker system
+which the evaluation kernel solves through the n^2 x n^2 Kronecker system
 
     vec(P) = -(I (x) A_K^T + A_K^T (x) I)^{-1} vec(Q + K^T R K),
 
 deliberately keeping the vectorized construction rather than a
 Bartels-Stewart factorization: all systems here are desk scale (n <= 10).
+The functions here check their inputs and the domain, then call it.
 
-gain_domain, lyapunov_solve, care_residual and value_matrices also take
-stacks over a leading axis, gains of shape (B, m, n); each slice gets the
-same arithmetic as a lone gain, so stacked and one-at-a-time results agree
-bit for bit.
+gain_domain, lyapunov_solve and care_residual also take stacks over a
+leading axis, gains of shape (B, m, n); each slice gets the same arithmetic
+as a lone gain, so stacked and one-at-a-time results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matlin
-from .errors import MaxIterExceeded, NotInSigmaSet, NotStabilizing
+from . import kernel, matlin
+from .errors import MaxIterExceeded, NotInSigmaSet, NotStabilizing, SingularMatrix
 from .matlin import TOL
 
 
@@ -66,9 +66,9 @@ class SystemInstance:
             raise ValueError("b must be nonzero")
         if not np.any(q):
             raise ValueError("q must be nonzero")
-        if matlin.min_eig_sym(q) < -TOL.psd:
+        if matlin.min_eig_sym(q, "q") < -TOL.psd:
             raise ValueError("q must be positive semidefinite")
-        if matlin.min_eig_sym(r) <= 0.0:
+        if matlin.min_eig_sym(r, "r") <= 0.0:
             raise ValueError("r must be positive definite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -220,38 +220,14 @@ def lyapunov_solve(a, load):
     load = matlin.as_stack(load, "load")
     if a.shape != load.shape or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"a {a.shape} and load {load.shape} must be square and of one shape")
-    return _lyapunov(a, load)
-
-
-def _lyapunov(a: np.ndarray, load: np.ndarray):
-    """lyapunov_solve on float arrays of one shape; a (B, n, n) stack goes
-    through matlin._solve_slices without the input checks."""
-    n = a.shape[-1]
-    eye = np.eye(n)
-    # entry (i*n + p, j*n + q) is eye[i, j] a[p, q] + a[i, j] eye[p, q]
-    coeff = (eye[:, None, :, None] * a[..., None, :, None, :]
-             + a[..., :, None, :, None] * eye[None, :, None, :])
-    coeff = coeff.reshape(a.shape[:-2] + (n * n, n * n))
-    # vec stacks columns: vec(L) is the row-major ravel of L^T
-    rhs = -load.swapaxes(-1, -2).reshape(load.shape[:-2] + (n * n,))
-    if a.ndim == 2:
-        return matlin.solve_linear(coeff, rhs).reshape((n, n)).T
-    x, singular = matlin._solve_slices(coeff, rhs)
-    return x.reshape(x.shape[:1] + (n, n)).swapaxes(-1, -2), singular
-
-
-def _value_load(sys: SystemInstance, k: np.ndarray) -> np.ndarray:
-    """Q + K^T R K, for one gain or slice by slice; sys may be a stack of
-    systems with per-slice q and r."""
-    return sys.q + k.swapaxes(-1, -2) @ sys.r @ k
-
-
-def _value_equation(sys: SystemInstance, k: np.ndarray, a_k: np.ndarray):
-    """(raw solution, load) of A_K^T P + P A_K + Q + K^T R K = 0 for one
-    gain, or for a stack with the raw solution as (X, singular); the raw
-    solution is not yet symmetrized."""
-    load = _value_load(sys, k)
-    return lyapunov_solve(a_k.swapaxes(-1, -2), load), load
+    if a.shape[-1] == 0:
+        raise SingularMatrix("empty matrix")
+    if a.ndim == 3:
+        return kernel.lyapunov(a, load)
+    x, singular = kernel.lyapunov(a[None], load[None])
+    if singular[0]:
+        raise SingularMatrix("A and -A share an eigenvalue, numerically")
+    return x[0]
 
 
 def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
@@ -264,19 +240,16 @@ def solve_value_lyapunov(sys: SystemInstance, k) -> ValueSolution:
     k = as_gain(sys, k)
     if not in_sigma_set(sys, k):
         raise NotInSigmaSet("closed-loop spectrum meets its negation")
-    return _value_solution(sys, k)
+    return _value_solution(kernel.single(kernel.values(sys, k[None])))
 
 
-def _value_solution(sys: SystemInstance, k: np.ndarray) -> ValueSolution:
-    """solve_value_lyapunov for a validated gain whose sigma-set membership
-    the caller has already established (a stabilizing gain is always in
-    it); the pivot check still applies."""
-    a_k = sys.a - sys.b @ k
-    raw, load = _value_equation(sys, k, a_k)
-    defect = float(np.linalg.norm(raw - raw.T))
-    p = matlin.sym_part(raw)
-    residual = float(np.linalg.norm(a_k.T @ p + p @ a_k + load))
-    return ValueSolution(p=p, lyap_residual=residual, symmetry_defect=defect)
+def _value_solution(ev: kernel.Evaluation) -> ValueSolution:
+    """The value matrix of a one-gain kernel evaluation, with the residual
+    and symmetry diagnostics computed from the evaluation's arrays."""
+    a_k, raw, p = ev.a_k[0], ev.raw[0], ev.p[0]
+    residual = float(np.linalg.norm(a_k.T @ p + p @ a_k + ev.load[0]))
+    return ValueSolution(p=p, lyap_residual=residual,
+                         symmetry_defect=float(np.linalg.norm(raw - raw.T)))
 
 
 def care_residual(sys: SystemInstance, p) -> np.ndarray:
@@ -284,31 +257,7 @@ def care_residual(sys: SystemInstance, p) -> np.ndarray:
     a (B, n, n) stack."""
     p = matlin.as_stack(p, "p")
     bt_p = sys.b.T @ p
-    return _care_residual(sys, p, bt_p, matlin.solve_linear(sys.r, bt_p))
-
-
-def _care_residual(sys: SystemInstance, p: np.ndarray, bt_p: np.ndarray,
-                   gain_p: np.ndarray) -> np.ndarray:
-    """care_residual from B^T P and R^{-1} B^T P already at hand; sys may be
-    a stack of systems."""
-    return (sys.a.swapaxes(-1, -2) @ p + p @ sys.a
-            - bt_p.swapaxes(-1, -2) @ gain_p + sys.q)
-
-
-def value_matrices(sys: SystemInstance, k) -> tuple[np.ndarray, np.ndarray]:
-    """Value matrices of a (B, m, n) stack of gains: (P, singular), where
-    P[i] is solve_value_lyapunov(sys, k[i]).p bit for bit and singular[i]
-    flags a value equation the pivot check rejects (P[i] is NaN there).
-
-    Sigma-set membership is not checked here; take it from gain_domain.
-    """
-    k = _as_gains(sys, k)
-    if k.ndim != 3:
-        raise ValueError(f"value_matrices needs a (B, m, n) stack, got shape {k.shape}")
-    (raw, singular), _ = _value_equation(sys, k, sys.a - sys.b @ k)
-    p = np.full(raw.shape, np.nan)
-    p[~singular] = matlin.sym_part(raw[~singular])
-    return p, singular
+    return kernel.care_residual(sys, p, bt_p, matlin.solve_linear(sys.r, bt_p))
 
 
 def kleinman(sys: SystemInstance, k0, tol: float = 1e-10, max_iter: int = 50) -> KleinmanResult:
@@ -324,8 +273,9 @@ def kleinman(sys: SystemInstance, k0, tol: float = 1e-10, max_iter: int = 50) ->
     history: list[float] = []
     for i in range(1, max_iter + 1):
         p = solve_value_lyapunov(sys, k).p
-        history.append(float(np.linalg.norm(care_residual(sys, p))))
-        k_next = matlin.solve_linear(sys.r, sys.b.T @ p)
+        bt_p = sys.b.T @ p
+        k_next = matlin.solve_linear(sys.r, bt_p)  # R^{-1} B^T P, in the residual too
+        history.append(float(np.linalg.norm(kernel.care_residual(sys, p, bt_p, k_next))))
         step = float(np.linalg.norm(k_next - k))
         if history[-1] <= tol or step <= tol:
             return KleinmanResult(p_star=p, k_star=k_next, iterations=i, residual_history=history)

@@ -3,8 +3,10 @@ definiteness tests.
 
 Matrices are plain 2-d float64 numpy arrays; solve_linear, spectrum and
 sym_part also take (B, N, N) stacks over a leading axis and treat each slice
-exactly as they treat one matrix. All functions are pure and never mutate
-their arguments; non-finite entries are rejected at the door.
+exactly as they treat one matrix. Every linear solve is one LAPACK dgesv
+call per slice, a lone matrix being the stack of one. All functions are pure
+and never mutate their arguments; non-finite entries are rejected at the
+door.
 """
 
 from __future__ import annotations
@@ -89,81 +91,60 @@ def solve_linear(m, rhs, tol: Tolerances = TOL):
     pivot falls below tol.pivot_rel * max|entry of m|.
 
     For a (B, N, N) stack, rhs is (B, N) or (B, N, K); returns (x, singular)
-    with the same pivot rule applied to each slice. Flagged slices are not
-    solved and come back NaN.
+    with the same pivot rule applied to each slice. Flagged slices come back
+    NaN.
 
-    Every slice goes through the same LAPACK calls as a lone matrix, so its
-    solution is the 2-d solution bit for bit. (NumPy's bundled OpenBLAS is a
-    different build from SciPy's, and np.linalg.solve differs from it in the
-    last bits from N = 9 on.)
+    Every slice, and a lone matrix as the stack of one, is one LAPACK dgesv
+    call, so a slice's solution is the lone solution bit for bit. (NumPy's
+    bundled OpenBLAS is a different build from SciPy's, and np.linalg.solve
+    differs from it in the last bits from N = 9 on.)
     """
     a = _require_square(as_stack(m, "m"), "m")
     b = np.asarray(rhs, dtype=float)
-    if a.ndim == 3 or b.ndim == 3:
-        return _solve_stack(a, b, tol)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("rhs contains non-finite entries")
-    return _lu_solve(*_lu_factor(a, tol), b)
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray, tol: Tolerances):
-    stacks_differ = a.ndim == 3 and b.shape[:1] != a.shape[:1]
+    stacked, lone = a.ndim == 3, a.ndim == 2 and b.ndim < 3
+    if lone:
+        a, b = a[None], b[None]
+    stacks_differ = stacked and b.shape[:1] != a.shape[:1]
     if b.ndim not in (2, 3) or b.shape[1] != a.shape[-1] or stacks_differ:
         raise ValueError(f"rhs of shape {b.shape} does not fit a matrix of shape {a.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
-    if a.ndim == 2:
-        lu, piv = _lu_factor(a, tol)
-        return np.array([_lu_solve(lu, piv, b_i) for b_i in b]).reshape(b.shape)
     if a.shape[-1] == 0:
         raise SingularMatrix("empty matrix")
-    return _solve_slices(a, b, tol)
+    x, singular = _solve_slices(a, b, tol)
+    if stacked:
+        return x, singular
+    if singular.any():
+        raise SingularMatrix(f"pivot below {tol.pivot_rel:.0e} * max|entry|")
+    return x[0] if lone else x
 
 
 def _solve_slices(a: np.ndarray, b: np.ndarray, tol: Tolerances = TOL):
-    """solve_linear on a (B, N, N) stack without its input checks:
-    (x, singular), NaN in flagged slices.
+    """solve_linear on a (B, N, N) stack, or one N x N matrix against every
+    slice of b, without the input checks: (x, singular), NaN in flagged
+    slices.
 
-    Each slice is one LAPACK dgesv call, which is dgetrf then dgetrs in one
-    call: its factors and solution equal theirs bit for bit.
+    Each slice is one LAPACK dgesv call (dgetrf then dgetrs in one call:
+    bitwise the same factors and solution). A pivot at or below
+    tol.pivot_rel * max|entry of the slice| flags the slice; that catches an
+    exactly zero pivot (LAPACK info > 0) too.
     """
-    lu, x = np.empty(a.shape), np.empty(b.shape)
-    for i, (a_i, b_i) in enumerate(zip(a, b)):
-        lu[i], _, x[i], info = lapack.dgesv(a_i, b_i)
+    if a.ndim == 2:
+        a = np.broadcast_to(a, b.shape[:1] + a.shape)
+    # copies whose slices are Fortran-ordered float64, which dgesv factors
+    # and solves in place
+    lu = a.swapaxes(1, 2).copy().swapaxes(1, 2)
+    x = b.copy() if b.ndim == 2 else b.swapaxes(1, 2).copy().swapaxes(1, 2)
+    for lu_i, x_i in zip(lu, x):
+        info = lapack.dgesv(lu_i, x_i, 1, 1)[3]  # overwrite_a, overwrite_b
         if info < 0:
             raise ValueError(f"dgesv: illegal argument {-info}")
-    # the pivot rule of _lu_factor, for all slices at once (an exactly zero
-    # pivot, LAPACK info > 0, is caught here too)
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2)).min(axis=1)
+    pivots = np.abs(lu.diagonal(axis1=1, axis2=2)).min(axis=1)
     singular = pivots <= tol.pivot_rel * np.abs(a).max(axis=(1, 2))
-    x[singular] = np.nan
+    x = np.ascontiguousarray(x)
+    if singular.any():
+        x[singular] = np.nan
     return x, singular
-
-
-def _lu_factor(a: np.ndarray, tol: Tolerances):
-    if a.size == 0:
-        raise SingularMatrix("empty matrix")
-    # LAPACK dgetrf, as scipy.linalg.lu_factor calls it; an exactly zero
-    # pivot (info > 0) is left to the pivot scan below
-    lu, piv, info = lapack.dgetrf(a)
-    if info < 0:
-        raise ValueError(f"dgetrf: illegal argument {-info}")
-    pivots = np.abs(np.diag(lu))
-    threshold = tol.pivot_rel * np.abs(a).max()
-    if pivots.min() <= threshold:
-        raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
-    return lu, piv
-
-
-def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # LAPACK dgetrs, as scipy.linalg.lu_solve calls it; one right-hand side
-    # block per call, because dgetrs on a wider block can round differently
-    x, info = lapack.dgetrs(lu, piv, b)
-    if info < 0:
-        raise ValueError(f"dgetrs: illegal argument {-info}")
-    return x
 
 
 def spectrum(a) -> Spectrum:
@@ -205,9 +186,10 @@ def _require_symmetric(a, name: str, tol: Tolerances = TOL) -> np.ndarray:
     return m
 
 
-def min_eig_sym(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    m = _require_symmetric(a, "a")
+def min_eig_sym(a, name: str = "a") -> float:
+    """Smallest eigenvalue of a symmetric matrix; a NotSymmetric error calls
+    it name."""
+    m = _require_symmetric(a, name)
     return float(np.linalg.eigvalsh(sym_part(m)).min())
 
 

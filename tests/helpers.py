@@ -1,5 +1,6 @@
-"""Shared test utilities: random admissible systems, stabilizing gains, and
-finite-difference gradients used as the independent oracle."""
+"""Shared test utilities: random admissible systems, stabilizing gains,
+finite-difference gradients used as the independent oracle, and the demo
+system's closed-form error and cost surfaces."""
 
 import numpy as np
 
@@ -89,3 +90,40 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     denom = np.linalg.norm(want)
     return np.linalg.norm(np.asarray(got, dtype=float) - want) / (denom if denom else 1.0)
+
+
+def bellman_error_closed_form_2d(k1: float, k2: float) -> float:
+    """Bellman error of the demo system as the explicit rational function of
+    the two gain entries (valid only for demo_system()).
+
+    Raises ZeroDivisionError exactly on the denominator roots, which contain
+    the stability boundary k2 = -k1 - 1.
+    """
+    num = (
+        k1**6 + 4 * k1**5 * k2 + 12 * k1**5 + 7 * k1**4 * k2**2 + 34 * k1**4 * k2
+        + 49 * k1**4
+        + 8 * k1**3 * k2**3 + 40 * k1**3 * k2**2 + 84 * k1**3 * k2 + 72 * k1**3
+        + 7 * k1**2 * k2**4 + 36 * k1**2 * k2**3 + 58 * k1**2 * k2**2
+        + 32 * k1**2 * k2 + 29 * k1**2
+        + 4 * k1 * k2**5 + 28 * k1 * k2**4 + 60 * k1 * k2**3 + 16 * k1 * k2**2
+        - 52 * k1 * k2 - 8 * k1
+        + k2**6 + 10 * k2**5 + 37 * k2**4 + 56 * k2**3 + 17 * k2**2 - 22 * k2 + 5
+    )
+    den = 2.0 * (k1**2 + 2 * k1 * k2 + 4 * k1 + k2**2 + 4 * k2 + 3) ** 2
+    return num / den
+
+
+def lqr_cost_closed_form_2d(k1: float, k2: float) -> float:
+    """Cost surface of the demo system as an explicit rational function of
+    the two gain entries (valid only for demo_system()).
+
+    Shares its denominator root locus with the error surface, so the
+    stability boundary k2 = -k1 - 1 raises ZeroDivisionError here too. The
+    value is exactly twice tr(P_K) under the identity covariance surrogate.
+    """
+    num = 2.0 * (
+        2 * k1**3 + 2 * k1**2 * k2 + 5 * k1**2 + 2 * k1 * k2**2
+        + 4 * k1 * k2 + 4 * k1 + 2 * k2**3 + 7 * k2**2 + 2 * k2 + 5
+    )
+    den = 2.0 * (k1**2 + 2 * k1 * k2 + 4 * k1 + k2**2 + 4 * k2 + 3)
+    return num / den

@@ -144,10 +144,10 @@ def test_criterion_4_closed_form_equivalence():
             continue
         count += 1
         pipeline_e = bellman.bellman_error(sys_, [[k1, k2]]).e
-        formula_e = bellman.bellman_error_closed_form_2d(k1, k2)
+        formula_e = helpers.bellman_error_closed_form_2d(k1, k2)
         worst_rel = max(worst_rel, abs(pipeline_e - formula_e) / max(1.0, abs(formula_e)))
         pipeline_f = cost_flow.lqr_cost(sys_, [[k1, k2]]).f
-        formula_f = cost_flow.lqr_cost_closed_form_2d(k1, k2)
+        formula_f = helpers.lqr_cost_closed_form_2d(k1, k2)
         worst_ratio_dev = max(worst_ratio_dev, abs(formula_f / (2.0 * pipeline_f) - 1.0))
     origin_err = abs(bellman.bellman_error(sys_, [[0.0, 0.0]]).e - 5.0 / 18.0)
     ok = worst_rel <= 1e-8 and origin_err <= 1e-12 and worst_ratio_dev <= 1e-8

@@ -5,6 +5,8 @@ differences as the independent oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gainflow import bellman, lqr_core, matlin
@@ -131,13 +133,13 @@ class TestBellmanGradient:
 
 class TestClosedForm2d:
     def test_origin(self):
-        assert abs(bellman.bellman_error_closed_form_2d(0.0, 0.0) - 5.0 / 18.0) < 1e-15
+        assert abs(helpers.bellman_error_closed_form_2d(0.0, 0.0) - 5.0 / 18.0) < 1e-15
 
     def test_boundary_divides_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            bellman.bellman_error_closed_form_2d(0.0, -1.0)
+            helpers.bellman_error_closed_form_2d(0.0, -1.0)
         with pytest.raises(ZeroDivisionError):
-            bellman.bellman_error_closed_form_2d(1.5, -2.5)
+            helpers.bellman_error_closed_form_2d(1.5, -2.5)
 
     def test_matches_pipeline_on_stable_gains(self, demo_sys, rng):
         count = 0
@@ -147,9 +149,29 @@ class TestClosedForm2d:
                 continue
             count += 1
             via_pipeline = bellman.bellman_error(demo_sys, [[k1, k2]]).e
-            via_formula = bellman.bellman_error_closed_form_2d(k1, k2)
+            via_formula = helpers.bellman_error_closed_form_2d(k1, k2)
             assert abs(via_pipeline - via_formula) <= 1e-8 * max(1.0, abs(via_formula))
 
     def test_coercive_along_boundary_ray(self, demo_sys):
         values = [bellman.bellman_error(demo_sys, [[0.0, -1.0 + 10.0 ** (-s)]]).e for s in range(1, 5)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# The paper's claim e_K >= 0 on the sigma set, as far as rounding lets the
+# direct residual form show it: random 2..4-state instances with SPD
+# weights, each at a random sigma-set gain, stable or not. The factored form
+# -tr(G^T R G) is nonpositive, and |tr X| <= sqrt(n) ||X||, so e_K can fall
+# below zero by at most sqrt(n) form_gap; form_gap itself is rounding of the
+# residual's terms.
+@given(case=st.tuples(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2**32 - 1)))
+@settings(max_examples=60, deadline=None)
+def test_error_is_nonnegative_up_to_the_form_gap(case):
+    n, m, seed = case
+    rng = np.random.default_rng(seed)
+    sys_ = helpers.random_admissible_system(rng, n, m, identity_weights=False)
+    ev = bellman.bellman_error(sys_, helpers.sigma_set_gain(rng, sys_))
+    p = ev.p.p
+    scale = (2.0 * np.linalg.norm(sys_.a.T @ p) + np.linalg.norm(sys_.q)
+             + np.linalg.norm(p @ sys_.b) ** 2 / np.linalg.eigvalsh(sys_.r).min())
+    assert ev.form_gap <= 1e-13 * scale
+    assert ev.e >= -np.sqrt(n) * ev.form_gap

@@ -202,7 +202,7 @@ class TestGridEval:
             for j, k2 in enumerate(res.k2):
                 if np.isnan(res.values[i, j]):
                     continue
-                want = bellman.bellman_error_closed_form_2d(k1, k2)
+                want = helpers.bellman_error_closed_form_2d(k1, k2)
                 assert abs(res.values[i, j] - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_lqr_objective_continues_into_unstable_region(self, demo_sys):
@@ -212,14 +212,12 @@ class TestGridEval:
         assert np.isfinite(res.values[0, 0])
 
     def test_lqr_grid_matches_closed_form_on_sigma_set(self, demo_sys):
-        from gainflow import cost_flow
-
         res = bench.grid_eval(demo_sys, (-3.0, 3.0), (-3.0, 3.0), 13, objective="lqr")
         for i, k1 in enumerate(res.k1):
             for j, k2 in enumerate(res.k2):
                 if np.isnan(res.values[i, j]):
                     continue
-                want = cost_flow.lqr_cost_closed_form_2d(k1, k2) / 2.0
+                want = helpers.lqr_cost_closed_form_2d(k1, k2) / 2.0
                 assert abs(res.values[i, j] - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_values_increase_towards_boundary(self, demo_sys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gainflow import bench, cli, lqr_core, matlin
+from gainflow import bench, cli, kernel, lqr_core, matlin
 from gainflow.errors import GainflowError
 
 DEMO = {
@@ -120,6 +120,14 @@ class TestCare:
         assert code == 3
         assert json.loads(err)["error"] == "NotStabilizing"
 
+    def test_iteration_budget_exits_4(self, capsys, demo_path):
+        # a numerical failure, not a domain error
+        code, out, err = run(capsys, ["care", demo_path, "--k0", "0,0", "--tol", "0",
+                                      "--max-iter", "3"])
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "MaxIterExceeded"
+
     def test_float_text_round_trips(self, capsys, demo_path):
         _, out, _ = run(capsys, ["care", demo_path, "--k0", "0,0"])
         result = json.loads(out)
@@ -178,13 +186,15 @@ class TestEval:
     @pytest.mark.parametrize("objective", ["bellman", "lqr"])
     def test_one_spectrum_and_two_lyapunov_solves(self, capsys, demo_path, monkeypatch,
                                                    objective):
-        # the domain comes from one spectrum; P and X (or Y) are solved once
+        # the domain comes from one spectrum; P and X (or Y) are solved once:
+        # the kernel's stacked Lyapunov solve counts one equation per slice
         calls = {"spectrum": 0, "lyapunov_solve": 0}
-        for module, name in ((matlin, "spectrum"), (lqr_core, "lyapunov_solve")):
+        for module, name, key, count in ((matlin, "spectrum", "spectrum", lambda a: 1),
+                                         (kernel, "lyapunov", "lyapunov_solve", len)):
             original = getattr(module, name)
 
-            def counted(*args, _original=original, _name=name):
-                calls[_name] += 1
+            def counted(*args, _original=original, _key=key, _count=count):
+                calls[_key] += _count(args[0])
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
@@ -382,3 +392,23 @@ class TestBench:
 
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["care", "--k0", "0,0"],
+    ["eval", "--k", "0,0"],
+    ["flow", "--kind", "bellman", "--k0", "0,0", "--out"],
+    ["grid", "--k1=-1:1:3", "--k2=-1:1:3", "--out"],
+])
+def test_asymmetric_weights_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({**DEMO, "q": [1.0, 0.5, 0.0, 1.0]}))
+    argv = command[:1] + [str(path)] + command[1:]
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "out.csv"))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "InputError"
+    assert error["message"].startswith("q asymmetry")

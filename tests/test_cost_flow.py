@@ -116,11 +116,11 @@ class TestNaturalGradient:
 
 class TestCostClosedForm2d:
     def test_origin(self):
-        assert abs(cost_flow.lqr_cost_closed_form_2d(0.0, 0.0) - 5.0 / 3.0) < 1e-15
+        assert abs(helpers.lqr_cost_closed_form_2d(0.0, 0.0) - 5.0 / 3.0) < 1e-15
 
     def test_boundary_divides_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            cost_flow.lqr_cost_closed_form_2d(0.0, -1.0)
+            helpers.lqr_cost_closed_form_2d(0.0, -1.0)
 
     def test_twice_the_pipeline_everywhere(self, demo_sys, rng):
         count = 0
@@ -130,7 +130,7 @@ class TestCostClosedForm2d:
                 continue
             count += 1
             pipeline = cost_flow.lqr_cost(demo_sys, [[k1, k2]]).f
-            formula = cost_flow.lqr_cost_closed_form_2d(k1, k2)
+            formula = helpers.lqr_cost_closed_form_2d(k1, k2)
             assert abs(formula / pipeline - 2.0) <= 1e-8
 
 

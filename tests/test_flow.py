@@ -9,10 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gainflow import bellman, bench, cost_flow, flow, lqr_core, matlin
+from gainflow import bellman, bench, cost_flow, flow, kernel, lqr_core, matlin
 from gainflow.bench import BenchConfig
 from gainflow.errors import DegenerateStart, NotStabilizing, SingularMatrix
 from gainflow.flow import FlowConfig
+
+
+def kernel_evaluation(sys_, ks, config, objective=False):
+    """The kernel on a gain stack under a flow's settings (the identity as
+    the Gramian load)."""
+    return kernel.evaluate(sys_, ks, config.kind, config.beta, config.gamma, objective,
+                           np.eye(ks.shape[-1]))
+
+
+def kernel_eval(pop, ks, config, objective=False):
+    """(cause, rhs, grad, value) of the kernel under a flow's settings."""
+    ev = kernel_evaluation(pop, ks, config, objective)
+    return ev.cause, ev.rhs, ev.grad, ev.value
+
+
+def point_eval(sys_, k, config):
+    """(rhs, grad_norm, objective) at one gain, as a stack of one; raises the
+    error that stopped the evaluation."""
+    ev = kernel.single(kernel_evaluation(sys_, k[None], config, objective=True))
+    return ev.rhs[0], flow._norms(ev.grad)[0], float(ev.value[0])
 
 
 def fit_r2(points):
@@ -80,7 +100,7 @@ class TestFlowRhs:
     def test_point_eval_raises_on_sigma_boundary(self, demo_sys, kind):
         # A - B K has eigenvalues 0 and -2 here: the value equation is singular
         with pytest.raises(SingularMatrix):
-            flow._point_eval(demo_sys, np.array([[0.3, -1.3]]), FlowConfig(kind=kind))
+            point_eval(demo_sys, np.array([[0.3, -1.3]]), FlowConfig(kind=kind))
 
     def test_refuses_unstable_gain(self, demo_sys):
         with pytest.raises(NotStabilizing):
@@ -222,6 +242,25 @@ PUBLIC_DIRECTIONS = {
 }
 
 
+def assert_public_functions_match(kind, ev, i, sys_, k):
+    """The one-gain public results at k equal member i of the stacked
+    evaluation ev, bit for bit."""
+    config = FlowConfig(kind=kind)
+    assert ev.rhs[i].tobytes() == flow.flow_rhs(sys_, k, config).tobytes()
+    if kind == "bellman":
+        error = bellman.bellman_error(sys_, k)
+        gradient = bellman.bellman_gradient(sys_, k)
+        assert float(ev.value[i]) == error.e
+        assert ev.p[i].tobytes() == error.p.p.tobytes()
+        assert ev.x[i].tobytes() == gradient.x_matrix.tobytes()
+        assert ev.a_tilde[i].tobytes() == gradient.a_tilde.tobytes()
+        return
+    cost = cost_flow.lqr_cost(sys_, k)
+    assert float(ev.value[i]) == cost.f
+    assert ev.p[i].tobytes() == cost.p.p.tobytes()
+    assert ev.y[i].tobytes() == cost.y_matrix.tobytes()
+
+
 def _kernel_population(n, m, size, seed):
     rng = np.random.default_rng(seed)
     pairs = [helpers.stabilizing_pair(rng, n, m, identity_weights=False) for _ in range(size)]
@@ -234,18 +273,29 @@ def _kernel_population(n, m, size, seed):
 def test_stacked_kernel_equals_one_gain_evaluation(kind, case):
     systems, ks = _kernel_population(*case)
     config = FlowConfig(kind=kind)
-    cause, rhs, grad, value = flow._evaluate(flow._Systems.of(systems), ks, config,
-                                             objective=True)
+    cause, rhs, grad, value = kernel_eval(kernel.Systems.of(systems), ks, config,
+                                          objective=True)
     assert not cause.any()
     norms = flow._norms(grad)
     for i, (sys_, k) in enumerate(zip(systems, ks)):
-        one_rhs, one_norm, one_value = flow._point_eval(sys_, k, config)
+        one_rhs, one_norm, one_value = point_eval(sys_, k, config)
         assert rhs[i].tobytes() == one_rhs.tobytes()
         assert (norms[i], float(value[i])) == (one_norm, one_value)
-        # the one-gain public functions take their own, unstacked path
+        # the one-gain public functions run the kernel on a stack of one
         public = PUBLIC_DIRECTIONS[kind](sys_, k)
         assert grad[i].tobytes() == public.tobytes()
         assert norms[i] == float(np.linalg.norm(public))
+
+
+@pytest.mark.parametrize("kind", flow.FLOW_KINDS)
+@given(case=kernel_cases)
+@settings(max_examples=15, deadline=None)
+def test_public_functions_are_the_kernel_at_one_gain(kind, case):
+    systems, ks = _kernel_population(*case)
+    ev = kernel_evaluation(kernel.Systems.of(systems), ks, FlowConfig(kind=kind), objective=True)
+    assert not ev.cause.any()
+    for i, (sys_, k) in enumerate(zip(systems, ks)):
+        assert_public_functions_match(kind, ev, i, sys_, k)
 
 
 @pytest.mark.parametrize("kind", flow.FLOW_KINDS)
@@ -256,9 +306,9 @@ def test_stacked_kernel_does_not_depend_on_order(kind, case, order_seed):
     perm = np.random.default_rng(order_seed).permutation(len(ks))
     undo = np.argsort(perm)
     config = FlowConfig(kind=kind)
-    _, rhs, grad, value = flow._evaluate(flow._Systems.of(systems), ks, config, objective=True)
-    _, rhs_p, grad_p, value_p = flow._evaluate(
-        flow._Systems.of([systems[i] for i in perm]), ks[perm], config, objective=True)
+    _, rhs, grad, value = kernel_eval(kernel.Systems.of(systems), ks, config, objective=True)
+    _, rhs_p, grad_p, value_p = kernel_eval(
+        kernel.Systems.of([systems[i] for i in perm]), ks[perm], config, objective=True)
     assert rhs_p[undo].tobytes() == rhs.tobytes()
     assert grad_p[undo].tobytes() == grad.tobytes()
     assert value_p[undo].tobytes() == value.tobytes()
@@ -269,10 +319,10 @@ def test_kernel_drops_a_singular_member_alone(demo_sys, kind):
     # [[0.3, -1.3]] puts the demo closed loop on the sigma-set boundary
     ks = np.array([[[0.0, 0.0]], [[0.3, -1.3]], [[1.0, 0.5]]])
     config = FlowConfig(kind=kind)
-    cause, rhs, _, _ = flow._evaluate(flow._Systems.of([demo_sys] * 3), ks, config)
-    assert cause.tolist() == [0, flow._SINGULAR, 0]
+    cause, rhs, _, _ = kernel_eval(kernel.Systems.of([demo_sys] * 3), ks, config)
+    assert cause.tolist() == [0, kernel.SINGULAR, 0]
     for row, k in zip(rhs, ks[[0, 2]]):
-        assert row.tobytes() == flow._point_eval(demo_sys, k, config)[0].tobytes()
+        assert row.tobytes() == point_eval(demo_sys, k, config)[0].tobytes()
 
 
 # Population runs: instances 0..5 of the seed-0 study with the study's flow

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gainflow import bellman, cost_flow, lqr_core, matlin
+from gainflow import bellman, cost_flow, kernel, lqr_core, matlin
 from gainflow.errors import MaxIterExceeded, NotInSigmaSet, NotStabilizing, SingularMatrix
 from gainflow.lqr_core import SystemInstance
 
@@ -230,6 +230,15 @@ stacked_cases = st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 1
                           st.integers(0, 2**32 - 1))
 
 
+def value_matrices(sys_, ks):
+    """(P, singular) of a gain stack from the kernel's value step: P[i] is
+    NaN where the pivot check flags the value equation of ks[i]."""
+    ev = kernel.values(sys_, ks)
+    p = np.full((len(ks), sys_.n, sys_.n), np.nan)
+    p[ev.rows] = ev.p
+    return p, ev.cause == kernel.SINGULAR
+
+
 def _instance_and_stack(n, m, size, seed):
     rng = np.random.default_rng(seed)
     sys_, k_stab = helpers.stabilizing_pair(rng, n, min(m, n), identity_weights=False)
@@ -243,7 +252,7 @@ def _instance_and_stack(n, m, size, seed):
 def test_stacked_evaluation_equals_per_gain(case):
     sys_, ks = _instance_and_stack(*case)
     abscissa, stable, in_sigma = lqr_core.gain_domain(sys_, ks)
-    p, singular = lqr_core.value_matrices(sys_, ks)
+    p, singular = value_matrices(sys_, ks)
     residual = lqr_core.care_residual(sys_, p[~singular])
     solved = iter(residual)
     for i, k in enumerate(ks):
@@ -267,8 +276,8 @@ def test_stacked_evaluation_does_not_depend_on_order(case, order_seed):
     sys_, ks = _instance_and_stack(*case)
     perm = np.random.default_rng(order_seed).permutation(len(ks))
     undo = np.argsort(perm)
-    p, singular = lqr_core.value_matrices(sys_, ks)
-    p_perm, singular_perm = lqr_core.value_matrices(sys_, ks[perm])
+    p, singular = value_matrices(sys_, ks)
+    p_perm, singular_perm = value_matrices(sys_, ks[perm])
     assert p_perm[undo].tobytes() == p.tobytes()
     assert np.array_equal(singular_perm[undo], singular)
     domain = lqr_core.gain_domain(sys_, ks)
@@ -289,10 +298,8 @@ def test_stabilizing_implies_sigma_set(case):
 def test_value_matrices_flags_singular_gain(demo_sys):
     # [[0.3, -1.3]] puts the demo closed loop on the sigma-set boundary
     ks = np.array([[[0.0, 0.0]], [[0.3, -1.3]], [[1.0, 0.5]]])
-    p, singular = lqr_core.value_matrices(demo_sys, ks)
+    p, singular = value_matrices(demo_sys, ks)
     assert singular.tolist() == [False, True, False]
     assert np.isnan(p[1]).all()
     assert np.array_equal(p[0], lqr_core.solve_value_lyapunov(demo_sys, [[0.0, 0.0]]).p)
     assert np.allclose(p[0], P_DEMO_AT_ORIGIN, atol=1e-15)
-    with pytest.raises(ValueError):
-        lqr_core.value_matrices(demo_sys, [[0.0, 0.0]])
