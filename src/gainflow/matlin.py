@@ -25,22 +25,18 @@ class Tolerances:
 
     pivot_rel          LU pivot below pivot_rel * max|entry| means singular
     symmetry_rel       allowed relative asymmetry before NotSymmetric
-    pairing            conjugate-pair matching slack for real-matrix spectra
     psd                default eigenvalue slack for is_psd
     stability_margin   spectral abscissa must sit below -stability_margin
     sigma_margin       min |lambda_i + lambda_j| for a solvable value equation
     rank_rel           singular values below rank_rel * s_max do not count
-    lyap_residual_rel  plugged-back Lyapunov residual bound, relative
     """
 
     pivot_rel: float = 1e-13
     symmetry_rel: float = 1e-10
-    pairing: float = 1e-9
     psd: float = 1e-10
     stability_margin: float = 1e-9
     sigma_margin: float = 1e-9
     rank_rel: float = 1e-9
-    lyap_residual_rel: float = 1e-9
 
 
 TOL = Tolerances()

@@ -73,7 +73,7 @@ class TestSampleStabilizingGain:
         k = bench.sample_stabilizing_gain(sys_, np.random.default_rng(3))
         assert lqr_core.in_stabilizing_set(sys_, k)
 
-    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2)])
     def test_matches_one_at_a_time_reference(self, n, m):
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -89,12 +89,131 @@ class TestSampleStabilizingGain:
                     break
             assert np.array_equal(k, draw)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_failure_consumes_exactly_the_cap(self, m):
+        # no standard-normal gain comes near moving eigenvalues at 100
+        sys_ = lqr_core.SystemInstance(a=100.0 * np.eye(2), b=np.eye(2)[:, :m],
+                                       q=np.eye(2), r=np.eye(m))
+        rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(SamplingFailure):
+            bench.sample_stabilizing_gain(sys_, rng)
+        for _ in range(100):
+            reference_rng.standard_normal((1000, m, 2))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_draw_triple_matches_spectrum_reference_on_discarded_pairs(self):
+        # The first 20 instances of the seed-0 study discard 6 (A, B) pairs,
+        # each after running the sampler to its cap.
+        config = BenchConfig(num_instances=20, seed=0)
+        pairs = 0
+        for i in range(config.num_instances):
+            rng = np.random.default_rng(bench.instance_seed(0, i))
+            reference_rng = copy.deepcopy(rng)
+            sys_, k0 = bench._draw_triple(config, rng)
+            ref_sys, ref_k0, drawn = _spectrum_only_triple(config, reference_rng)
+            pairs += drawn
+            assert np.array_equal(sys_.a, ref_sys.a) and np.array_equal(sys_.b, ref_sys.b)
+            assert np.array_equal(k0, ref_k0)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert pairs == 26
+
+    def test_study_prefix_draws_without_the_spectrum(self, monkeypatch):
+        calls = []
+        original = matlin.spectrum
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(matlin, "spectrum", counted)
+        config = BenchConfig(num_instances=20, seed=0)
+        for i in range(config.num_instances):
+            bench._draw_triple(config, np.random.default_rng(bench.instance_seed(0, i)))
+        # random_instance's assumption check takes one spectrum of A for each
+        # of the 26 pairs drawn; no draw lies in the guard band, so the
+        # sampler takes none (with a spectrum per batch the total was 723)
+        assert calls == [(2, 2)] * 26
+
     def test_generic_shape_path(self):
         rng = np.random.default_rng(21)
         sys_ = bench.random_instance(3, 2, rng)
         k = bench.sample_stabilizing_gain(sys_, rng)
         assert k.shape == (2, 3)
         assert lqr_core.in_stabilizing_set(sys_, k)
+
+
+def _spectrum_only_triple(config, rng):
+    """_draw_triple with one spectrum per batch of the gain sampler, as it
+    was before the trace-determinant prefilter: (sys, k0, pairs drawn)."""
+    for drawn in range(1, 101):
+        sys_ = bench.random_instance(config.n, config.m, rng)
+        for _ in range(100):
+            ks = rng.standard_normal((1000, config.m, config.n))
+            hits = np.flatnonzero(matlin.spectrum(sys_.a - sys_.b @ ks).abscissa < -1e-6)
+            if hits.size:
+                return sys_, ks[hits[0]], drawn
+    raise AssertionError("no triple in 100 pairs")
+
+
+def _adversarial_closed_loops(rng, scale):
+    """2x2 matrices whose abscissa sits at, near and away from -1e-6, with
+    entries of size `scale`: a real eigenvalue at -1e-6 + delta, a complex
+    pair with real part -1e-6 + delta, and near-defective double
+    eigenvalues at -1e-6 + delta and at +-scale, each in a random basis."""
+    deltas = np.concatenate([[0.0], np.outer([-1.0, 1.0], np.logspace(-24, 0, 49)).ravel()])
+    deltas = np.concatenate([deltas, scale * deltas])
+    out = []
+    for delta in deltas:
+        edge = -1e-6 + delta
+        other = scale * rng.uniform(0.5, 2.0)
+        blocks = [
+            np.diag([edge, -other]),
+            np.array([[edge, other], [-other, edge]]),
+            np.array([[edge, scale], [scale * 1e-15 * rng.standard_normal(), edge]]),
+            np.array([[edge, scale], [-1e-30 * scale, edge]]),
+            np.array([[-scale, scale], [delta * scale, -scale]]),
+            np.array([[scale, scale], [delta * scale, scale]]),
+        ]
+        for block in blocks:
+            v = rng.standard_normal((2, 2))
+            out.append(v @ block @ np.linalg.inv(v))
+    return np.array(out)
+
+
+class TestHurwitzPrefilter:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_decides_as_the_spectrum_does(self, monkeypatch, m, scale):
+        rng = np.random.default_rng(17)
+        targets = _adversarial_closed_loops(rng, scale)
+        b = rng.standard_normal((len(targets), 2, m))
+        k = rng.standard_normal((len(targets), m, 2))
+        # closed loops formed as the sampler forms them, A - B K
+        closed = (targets + b @ k) - b @ k
+        expected = matlin.spectrum(closed).abscissa < -1e-6
+        sent = []
+        original = matlin.spectrum
+
+        def recorded(a):
+            sent.extend(x.tobytes() for x in a)
+            return original(a)
+
+        monkeypatch.setattr(matlin, "spectrum", recorded)
+        decided = bench._stabilizing(closed)
+        sent = set(sent)
+        by_prefilter = np.array([x.tobytes() not in sent for x in closed])
+        assert np.array_equal(decided, expected)
+        assert (~by_prefilter).any()  # the band is in use on these draws
+        assert expected[by_prefilter].any() and not expected[by_prefilter].all()
+
+    def test_larger_systems_use_the_spectrum(self, monkeypatch):
+        calls = []
+        original = matlin.spectrum
+        monkeypatch.setattr(matlin, "spectrum", lambda a: calls.append(a) or original(a))
+        closed = np.random.default_rng(3).standard_normal((50, 3, 3))
+        decided = bench._stabilizing(closed)
+        assert len(calls) == 1 and calls[0] is closed
+        assert np.array_equal(decided, original(closed).abscissa < -1e-6)
 
 
 class TestBenchConfig:
