@@ -19,6 +19,7 @@ independent of execution order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,11 @@ def instance_seed(master_seed: int, instance_id: int) -> int:
     return _splitmix64((master_seed + instance_id * _GAMMA64) & _MASK64)
 
 
+def _is_int(x) -> bool:
+    """True for an integer that is not a bool (JSON's true would read as 1)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     num_instances: int = 200
@@ -86,6 +92,8 @@ class BenchConfig:
     time_grid: tuple[float, ...] = DEFAULT_TIME_GRID
 
     def __post_init__(self):
+        if not all(_is_int(getattr(self, name)) for name in ("num_instances", "n", "m", "seed")):
+            raise ValueError("num_instances, n, m and seed must be integers")
         if self.num_instances <= 0:
             raise ValueError("num_instances must be positive")
         if not (self.n >= self.m >= 1):

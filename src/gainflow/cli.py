@@ -5,14 +5,15 @@ flow (trajectory integration to CSV), grid (2-d objective grid to CSV), and
 bench (the comparative convergence study).
 
 Exit codes are a stable contract: 0 success; 2 input error (an instance
-file with asymmetric weights included), and an output path that cannot be
-written, with error OutputError; 3 domain or precondition error
-(NotStabilizing, NotInSigmaSet, SingularMatrix, SamplingFailure); 4
-numerical failure (any other GainflowError, a LinAlgError, or a flow that
-ends in StepFailure). Structured results go to standard
-output as JSON; time and grid series go to CSV files. Every float is
-emitted with 17 significant digits so parsing the text recovers the exact
-binary value.
+file with asymmetric weights and a non-finite gain or axis bound
+included), and an output path that cannot be written, with error
+OutputError; 3 domain or precondition error (NotStabilizing,
+NotInSigmaSet, SingularMatrix, SamplingFailure, and DomainError from grid
+when n != 2 or m != 1); 4 numerical failure (any other GainflowError, a
+LinAlgError, or a flow that ends in StepFailure). Structured results go to
+standard output as JSON; time and grid series go to CSV files. Every float
+is emitted with 17 significant digits so parsing the text recovers the
+exact binary value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import bench, errors, flow, kernel, lqr_core, matlin
 from .lqr_core import SystemInstance
 
-_INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError, errors.NotSymmetric)
+_INPUT_ERRORS = (OSError, TypeError, ValueError, json.JSONDecodeError, errors.NotSymmetric)
 
 # Errors of the computation that exit 3: the input lies outside the domain
 # or breaks a precondition. Any other GainflowError, and a LinAlgError,
@@ -44,7 +45,9 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_json(value) -> str:
+def dump_json(value) -> str:
+    """Compact JSON text with every float at 17 significant digits; ndarrays
+    go as nested lists."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -56,21 +59,13 @@ def _emit_json(value) -> str:
     if isinstance(value, (float, np.floating)):
         return fmt_float(value)
     if isinstance(value, np.ndarray):
-        return _emit_json(value.tolist())
+        return dump_json(value.tolist())
     if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_emit_json(v)}" for k, v in value.items())
+        inner = ",".join(f"{json.dumps(str(k))}:{dump_json(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in value) + "]"
+        return "[" + ",".join(dump_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def dump_json(value) -> str:
-    return _emit_json(value)
-
-
-def _rows(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m)]
 
 
 def _print(value) -> None:
@@ -92,15 +87,15 @@ def load_instance(path) -> tuple[SystemInstance, np.ndarray | None]:
     for key in ("n", "m", "a", "b", "q", "r"):
         if key not in data:
             raise ValueError(f"instance file is missing required field {key!r}")
-    n, m = int(data["n"]), int(data["m"])
-    if n <= 0 or m <= 0:
-        raise ValueError("n and m must be positive")
+    n, m = data["n"], data["m"]
+    if not all(bench._is_int(x) and x > 0 for x in (n, m)):
+        raise ValueError("n and m must be positive integers")
 
     def grab(name: str, rows: int, cols: int) -> np.ndarray:
         raw = data[name]
         if not isinstance(raw, list) or len(raw) != rows * cols:
             raise ValueError(f"field {name!r} must be a flat array of {rows * cols} numbers")
-        return np.array([float(x) for x in raw]).reshape(rows, cols)
+        return matlin.as_matrix(np.array([float(x) for x in raw]).reshape(rows, cols), name)
 
     sys_ = SystemInstance(a=grab("a", n, n), b=grab("b", n, m),
                           q=grab("q", n, n), r=grab("r", m, m))
@@ -114,12 +109,21 @@ def _parse_gain(text: str, m: int, n: int) -> np.ndarray:
     entries = [float(x) for x in text.split(",")]
     if len(entries) != m * n:
         raise ValueError(f"gain needs {m * n} comma-separated entries, got {len(entries)}")
-    return np.array(entries).reshape(m, n)
+    return matlin.as_matrix(np.array(entries).reshape(m, n), "gain")
 
 
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, each an iterable of cell
+    text; lines end in LF, the last one included."""
+    lines = [",".join(header)]
+    lines += map(",".join, rows)
+    lines.append("")
+    _write_text(path, "\n".join(lines))
 
 
 def cmd_care(args) -> int:
@@ -137,8 +141,8 @@ def cmd_care(args) -> int:
         k0 = bench.sample_stabilizing_gain(sys_, np.random.default_rng(args.seed))
     result = lqr_core.kleinman(sys_, k0, tol=args.tol, max_iter=args.max_iter)
     _print({
-        "p_star": _rows(result.p_star),
-        "k_star": _rows(result.k_star),
+        "p_star": result.p_star,
+        "k_star": result.k_star,
         "residual": result.residual,
         "iterations": result.iterations,
     })
@@ -164,35 +168,24 @@ def cmd_eval(args) -> int:
         kernel.single(ev)
         out["value"] = float(ev.value[0])
         if in_k:
-            out["grad"] = _rows(ev.grad[0])
+            out["grad"] = ev.grad[0]
         else:
             out["grad"] = None
             out["grad_reason"] = "gain is not in the stabilizing set"
-        out["m_eigs"] = [float(w) for w in np.linalg.eigvalsh(matlin._sym(ev.residual[0]))]
+        out["m_eigs"] = np.linalg.eigvalsh(matlin._sym(ev.residual[0]))
     else:
         if not in_k:
             return _fail(3, "NotStabilizing", "the cost needs a stabilizing gain")
         ev = kernel.single(kernel.evaluate(sys_, k[None], "lqr", objective=True,
                                            s=np.eye(sys_.n)))
         out["value"] = float(ev.value[0])
-        out["grad"] = _rows(ev.grad[0])
-        out["y_eigs"] = [float(w) for w in np.linalg.eigvalsh(ev.y[0])]
+        out["grad"] = ev.grad[0]
+        out["y_eigs"] = np.linalg.eigvalsh(ev.y[0])
     out["abscissa"] = abscissa
     out["in_K"] = in_k
     out["in_K_sigma"] = in_k_sigma
     _print(out)
     return 0
-
-
-def _trajectory_csv(sys_: SystemInstance, traj: flow.FlowTrajectory) -> str:
-    gain_cols = [f"k_{i + 1}{j + 1}" for i in range(sys_.m) for j in range(sys_.n)]
-    lines = ["t," + ",".join(gain_cols) + ",objective,grad_norm,abscissa"]
-    for s in traj.samples:
-        cells = [fmt_float(s.t)]
-        cells += [fmt_float(x) for x in s.k.ravel()]
-        cells += [fmt_float(s.objective), fmt_float(s.grad_norm), fmt_float(s.abscissa)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_flow(args) -> int:
@@ -207,12 +200,15 @@ def cmd_flow(args) -> int:
     except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
     traj = flow.integrate(sys_, k0, config)
-    _write_text(args.out, _trajectory_csv(sys_, traj))
+    gain_cols = [f"k_{i + 1}{j + 1}" for i in range(sys_.m) for j in range(sys_.n)]
+    _write_csv(args.out, ["t", *gain_cols, "objective", "grad_norm", "abscissa"],
+               (map(fmt_float, (s.t, *s.k.ravel(), s.objective, s.grad_norm, s.abscissa))
+                for s in traj.samples))
     last = traj.samples[-1]
     _print({
         "status": traj.status,
         "t": last.t,
-        "k_final": _rows(traj.k_final),
+        "k_final": traj.k_final,
         "objective": last.objective,
         "grad_norm": last.grad_norm,
         "abscissa": last.abscissa,
@@ -228,6 +224,8 @@ def _parse_axis(spec: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"axis spec must be min:max:steps, got {spec!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"axis bounds must be finite, got {spec!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return lo, hi, steps
@@ -246,25 +244,14 @@ def cmd_grid(args) -> int:
                              objective=args.objective)
     # each axis value is formatted once; rows run over k1, then k2
     k1_text, k2_text = (list(map(fmt_float, axis.tolist())) for axis in (result.k1, result.k2))
-    lines = ["k1,k2,value,stable"]
-    lines += [f"{k1},{k2},{value},{int(stable)}" for (k1, k2), value, stable in zip(
-        itertools.product(k1_text, k2_text), map(fmt_float, result.values.ravel().tolist()),
-        result.stable.ravel().tolist())]
-    lines.append("")  # the text ends with a newline, without a second copy of it
-    _write_text(args.out, "\n".join(lines))
+    values = map(fmt_float, result.values.ravel().tolist())
+    stable = np.where(result.stable.ravel(), "1", "0").tolist()
+    _write_csv(args.out, ["k1", "k2", "value", "stable"],
+               ((k1, k2, value, bit) for (k1, k2), value, bit in zip(
+                   itertools.product(k1_text, k2_text), values, stable)))
     singular = int(np.isnan(result.values).sum())
     _print({"csv": str(args.out), "cells": int(result.values.size), "singular_cells": singular})
     return 0
-
-
-def _bench_csv(kinds, grid, record) -> str:
-    header = "t," + ",".join(f"rho_{kind}" for kind in kinds)
-    lines = [header]
-    for idx, t in enumerate(grid):
-        cells = [fmt_float(t)]
-        cells += [fmt_float(record.curves[kind][idx]) for kind in kinds]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_bench(args) -> int:
@@ -275,38 +262,28 @@ def cmd_bench(args) -> int:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("bench config must be a JSON object")
-            allowed = {"num_instances", "n", "m", "seed", "flows",
-                       "q_scale", "r_scale", "time_grid"}
-            unknown = set(data) - allowed
+            unknown = set(data) - {f.name for f in dataclasses.fields(bench.BenchConfig)}
             if unknown:
                 raise ValueError(f"unknown config fields: {sorted(unknown)}")
-            if "flows" in data:
-                data["flows"] = tuple(data["flows"])
-            if "time_grid" in data:
-                data["time_grid"] = tuple(data["time_grid"])
         if args.seed is not None:
             data["seed"] = args.seed
         config = bench.BenchConfig(**data)
-    except (*_INPUT_ERRORS, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         return _fail(2, "InputError", exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before the study, not after it
     result = bench.run_benchmark(config)
-    grid = list(config.time_grid)
     for record in result.records:
-        _write_text(out_dir / f"instance_{record.instance_id:04d}.csv",
-                    _bench_csv(config.flows, grid, record))
+        _write_csv(out_dir / f"instance_{record.instance_id:04d}.csv",
+                   ["t", *(f"rho_{kind}" for kind in config.flows)],
+                   (map(fmt_float, row) for row in zip(
+                       config.time_grid, *(record.curves[kind] for kind in config.flows))))
     summary = result.summary
     summary_json = {
-        "config": {
-            "num_instances": config.num_instances, "n": config.n, "m": config.m,
-            "seed": config.seed, "flows": list(config.flows),
-            "q_scale": config.q_scale, "r_scale": config.r_scale,
-            "time_grid": grid,
-        },
-        "median": {kind: list(summary.median[kind]) for kind in config.flows},
-        "q1": {kind: list(summary.q1[kind]) for kind in config.flows},
-        "q3": {kind: list(summary.q3[kind]) for kind in config.flows},
+        "config": dataclasses.asdict(config),
+        "median": summary.median,
+        "q1": summary.q1,
+        "q3": summary.q3,
         "converged_counts": summary.converged_counts,
         "num_instances": summary.num_instances,
         "num_failed_instances": summary.num_failed_instances,
@@ -315,7 +292,7 @@ def cmd_bench(args) -> int:
                 "id": r.instance_id,
                 "seed": r.seed,
                 "error": r.error,
-                "k_star": _rows(r.k_star) if r.k_star is not None else None,
+                "k_star": r.k_star,
                 "statuses": r.statuses,
                 "converged": r.converged,
                 "t_hit": r.t_hit,

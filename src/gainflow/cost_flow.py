@@ -34,9 +34,10 @@ class CostEval:
 def _check_sigma0(sys: SystemInstance, sigma0) -> np.ndarray:
     if sigma0 is None:
         return np.eye(sys.n)
-    s = matlin.sym_part(matlin.as_matrix(sigma0, "sigma0"))
+    s = matlin.as_matrix(sigma0, "sigma0")
     if s.shape != (sys.n, sys.n):
         raise ValueError(f"sigma0 must be {sys.n} x {sys.n}, got {s.shape}")
+    s = matlin._sym(s)
     if matlin.min_eig_sym(s) < -matlin.TOL.psd:
         raise ValueError("sigma0 must be positive semidefinite")
     return s

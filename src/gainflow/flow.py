@@ -80,7 +80,6 @@ class FlowConfig:
     t_max: float = 1e4
     grad_tol: float = 1e-8
     max_steps: int = 1_000_000
-    record_stride: int = 1
 
     def __post_init__(self):
         if self.kind not in FLOW_KINDS:
@@ -88,8 +87,8 @@ class FlowConfig:
         for name in ("beta", "gamma", "rtol", "atol", "t_max", "grad_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_steps < 1 or self.record_stride < 1:
-            raise ValueError("max_steps and record_stride must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def _initial_step(k_norm: float, rhs_norm: float, config: FlowConfig) -> float:
 class _Member:
     """Step-control state and counters of one population member."""
 
-    __slots__ = ("t", "h", "rejects", "attempts", "samples", "last",
+    __slots__ = ("t", "h", "rejects", "attempts", "samples",
                  "accepted", "error_rejects", "guard_rejects", "rhs_evals")
 
     def __init__(self, first: FlowSample):
@@ -181,7 +180,6 @@ class _Member:
         self.h = 0.0
         self.rejects = self.attempts = 0
         self.samples = [first]
-        self.last = first
         self.accepted = self.error_rejects = self.guard_rejects = 0
         self.rhs_evals = 1
 
@@ -196,10 +194,8 @@ class _Member:
         return self.rejects >= _MAX_CONSECUTIVE_REJECTS
 
     def finish(self, status: str) -> FlowTrajectory:
-        if self.samples[-1].t != self.last.t:
-            self.samples.append(self.last)
         stats = FlowStats(self.accepted, self.error_rejects, self.guard_rejects, self.rhs_evals)
-        return FlowTrajectory(samples=self.samples, status=status, k_final=self.last.k,
+        return FlowTrajectory(samples=self.samples, status=status, k_final=self.samples[-1].k,
                               stats=stats)
 
 
@@ -322,10 +318,8 @@ def _step(pop: Systems, k: np.ndarray, fsal: np.ndarray, members: list[_Member],
         member.t += member.h
         member.rejects = 0
         member.accepted += 1
-        member.last = FlowSample(member.t, k_new[j].copy(), float(value[j]), grad_norms[j],
-                                 float(abscissa[j]))
-        if member.accepted % config.record_stride == 0:
-            member.samples.append(member.last)
+        member.samples.append(FlowSample(member.t, k_new[j].copy(), float(value[j]),
+                                         grad_norms[j], float(abscissa[j])))
         if grad_norms[j] <= config.grad_tol:
             outcomes[live[r]] = member.finish(CONVERGED_GRAD_TOL)
             continue

@@ -143,14 +143,9 @@ def _as_gains(sys: SystemInstance, k) -> np.ndarray:
     return g
 
 
-def closed_loop(sys: SystemInstance, k) -> np.ndarray:
-    """A - B K."""
-    return sys.a - sys.b @ as_gain(sys, k)
-
-
 def _sqrt_psd(q: np.ndarray) -> np.ndarray:
     # symmetric square root; negative round-off eigenvalues clipped at 0
-    w, v = np.linalg.eigh(matlin.sym_part(q))
+    w, v = np.linalg.eigh(matlin._sym(q))
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 

@@ -1,12 +1,11 @@
 """Dense real-matrix kernel: pivot-checked linear solves, eigenvalues, and
 definiteness tests.
 
-Matrices are plain 2-d float64 numpy arrays; solve_linear, spectrum and
-sym_part also take (B, N, N) stacks over a leading axis and treat each slice
-exactly as they treat one matrix. Every linear solve is one LAPACK dgesv
-call per slice, a lone matrix being the stack of one. All functions are pure
-and never mutate their arguments; non-finite entries are rejected at the
-door.
+Matrices are plain 2-d float64 numpy arrays; spectrum also takes (B, N, N)
+stacks over a leading axis and treats each slice exactly as it treats one
+matrix. Every linear solve is one LAPACK dgesv call per slice, a lone matrix
+being the stack of one. All functions are pure and never mutate their
+arguments; non-finite entries are rejected at the door.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class Tolerances:
 
     pivot_rel          LU pivot below pivot_rel * max|entry| means singular
     symmetry_rel       allowed relative asymmetry before NotSymmetric
-    psd                default eigenvalue slack for is_psd
+    psd                eigenvalue slack of a positive semidefinite test
     stability_margin   spectral abscissa must sit below -stability_margin
     sigma_margin       min |lambda_i + lambda_j| for a solvable value equation
     rank_rel           singular values below rank_rel * s_max do not count
@@ -80,45 +79,38 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def solve_linear(m, rhs, tol: Tolerances = TOL):
-    """Solve m x = rhs by LU with partial pivoting.
+    """Solve m x = rhs for one N x N matrix m by LU with partial pivoting.
 
-    For one N x N matrix, rhs is an N-vector, an N x K matrix, or a (B, N, K)
-    stack of right-hand sides; returns x and raises SingularMatrix when any
-    pivot falls below tol.pivot_rel * max|entry of m|.
+    rhs is an N-vector, an N x K matrix, or a (B, N, K) stack of right-hand
+    sides. Raises SingularMatrix when any pivot falls below
+    tol.pivot_rel * max|entry of m|.
 
-    For a (B, N, N) stack, rhs is (B, N) or (B, N, K); returns (x, singular)
-    with the same pivot rule applied to each slice. Flagged slices come back
-    NaN.
-
-    Every slice, and a lone matrix as the stack of one, is one LAPACK dgesv
-    call, so a slice's solution is the lone solution bit for bit. (NumPy's
-    bundled OpenBLAS is a different build from SciPy's, and np.linalg.solve
-    differs from it in the last bits from N = 9 on.)
+    Each right-hand side, a lone one as the stack of one, is one LAPACK
+    dgesv call, so a slice's solution is the lone solution bit for bit.
+    (NumPy's bundled OpenBLAS is a different build from SciPy's, and
+    np.linalg.solve differs from it in the last bits from N = 9 on.)
     """
-    a = _require_square(as_stack(m, "m"), "m")
+    a = _require_square(as_matrix(m, "m"), "m")
     b = np.asarray(rhs, dtype=float)
-    stacked, lone = a.ndim == 3, a.ndim == 2 and b.ndim < 3
+    lone = b.ndim < 3
     if lone:
         a, b = a[None], b[None]
-    stacks_differ = stacked and b.shape[:1] != a.shape[:1]
-    if b.ndim not in (2, 3) or b.shape[1] != a.shape[-1] or stacks_differ:
+    if b.ndim not in (2, 3) or b.shape[1] != a.shape[-1]:
         raise ValueError(f"rhs of shape {b.shape} does not fit a matrix of shape {a.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
     if a.shape[-1] == 0:
         raise SingularMatrix("empty matrix")
     x, singular = _solve_slices(a, b, tol)
-    if stacked:
-        return x, singular
     if singular.any():
         raise SingularMatrix(f"pivot below {tol.pivot_rel:.0e} * max|entry|")
     return x[0] if lone else x
 
 
 def _solve_slices(a: np.ndarray, b: np.ndarray, tol: Tolerances = TOL):
-    """solve_linear on a (B, N, N) stack, or one N x N matrix against every
-    slice of b, without the input checks: (x, singular), NaN in flagged
-    slices.
+    """Solve each slice of a (B, N, N) stack against the matching slice of
+    b, (B, N) or (B, N, K), or one N x N matrix against every slice of b,
+    without input checks: (x, singular), NaN in flagged slices.
 
     Each slice is one LAPACK dgesv call (dgetrf then dgetrs in one call:
     bitwise the same factors and solution). A pivot at or below
@@ -164,13 +156,9 @@ def spectrum(a) -> Spectrum:
     return Spectrum(eigenvalues=eigs, abscissa=eigs.real.max(axis=-1))
 
 
-def sym_part(a) -> np.ndarray:
-    """Symmetric part (a + a^T) / 2, of one matrix or of each in a stack."""
-    return _sym(_require_square(as_stack(a, "a"), "a"))
-
-
 def _sym(m: np.ndarray) -> np.ndarray:
-    """sym_part without its input checks."""
+    """Symmetric part (m + m^T) / 2, of one square matrix or of each in a
+    stack; no input checks."""
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
@@ -186,9 +174,4 @@ def min_eig_sym(a, name: str = "a") -> float:
     """Smallest eigenvalue of a symmetric matrix; a NotSymmetric error calls
     it name."""
     m = _require_symmetric(a, name)
-    return float(np.linalg.eigvalsh(sym_part(m)).min())
-
-
-def is_psd(a, tol: float = TOL.psd) -> bool:
-    """True when every eigenvalue of the symmetric matrix a is >= -tol."""
-    return min_eig_sym(a) >= -tol
+    return float(np.linalg.eigvalsh(_sym(m)).min())

@@ -1,11 +1,35 @@
 """Shared test utilities: random admissible systems, stabilizing gains,
-finite-difference gradients used as the independent oracle, and the demo
-system's closed-form error and cost surfaces."""
+finite-difference gradients used as the independent oracle, the demo
+system's closed-form error and cost surfaces, and the seed-0 study
+reference.
+
+Regenerate the study reference (tests/data/study_seed0.json) from the repo
+root with
+
+    PYTHONPATH=src python tests/helpers.py
+"""
+
+import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 
 from gainflow import bench, lqr_core
 from gainflow.lqr_core import SystemInstance
+
+STUDY_REFERENCE = Path(__file__).parent / "data" / "study_seed0.json"
+
+# Tolerances of the study check (study_mismatches). Statuses and converged
+# flags must match exactly. The median and quartile curves may differ by
+# this factor in log space; values below the floor, the oracle's own
+# accuracy, count as the floor. t_hit, the time of the first accepted step
+# with rho <= 1e-6, may move by this much flow time: it falls on a step
+# boundary, and the steps there are 0.1 to 1.5 long.
+STUDY_CURVE_FACTOR = 2.0
+STUDY_CURVE_FLOOR = 1e-9
+STUDY_T_HIT_TOL = 0.5
 
 
 def random_spd(rng, n, scale=1.0):
@@ -127,3 +151,70 @@ def lqr_cost_closed_form_2d(k1: float, k2: float) -> float:
     )
     den = 2.0 * (k1**2 + 2 * k1 * k2 + 4 * k1 + k2**2 + 4 * k2 + 3)
     return num / den
+
+
+def study_reference(result) -> dict:
+    """Compact record of a study run with its trajectories kept: per flow,
+    each instance's status, converged flag, t_hit, rho at the last grid
+    point and FlowStats (accepted, error rejects, guard rejects, rhs evals),
+    and the summary's median and quartile curves and converged count."""
+    records, summary = result.records, result.summary
+    flows = {}
+    for kind in result.config.flows:
+        trajectories = [r.trajectories.get(kind) for r in records]
+        flows[kind] = {
+            "status": [r.statuses[kind] for r in records],
+            "converged": [r.converged[kind] for r in records],
+            "t_hit": [r.t_hit[kind] for r in records],
+            "rho_last": [float(r.curves[kind][-1]) for r in records],
+            "stats": [None if t is None else list(dataclasses.astuple(t.stats))
+                      for t in trajectories],
+            "median": summary.median[kind].tolist(),
+            "q1": summary.q1[kind].tolist(),
+            "q3": summary.q3[kind].tolist(),
+            "converged_count": summary.converged_counts[kind],
+        }
+    return {"num_instances": result.config.num_instances, "seed": result.config.seed,
+            "flows": flows}
+
+
+def study_mismatches(reference: dict, fresh: dict) -> list[str]:
+    """Where the fresh study record departs from the reference beyond the
+    study tolerances; empty when it passes."""
+    for key in ("num_instances", "seed"):
+        if fresh[key] != reference[key]:
+            return [f"{key} {fresh[key]} (reference {reference[key]})"]
+    if list(fresh["flows"]) != list(reference["flows"]):
+        return [f"flows {list(fresh['flows'])} (reference {list(reference['flows'])})"]
+    problems = []
+    for kind, ref in reference["flows"].items():
+        new = fresh["flows"][kind]
+        for key in ("status", "converged"):
+            problems += [f"{kind} instance {i}: {key} {b} (reference {a})"
+                         for i, (a, b) in enumerate(zip(ref[key], new[key])) if a != b]
+        for i, (a, b) in enumerate(zip(ref["t_hit"], new["t_hit"])):
+            if (a is None) != (b is None) or (a is not None and abs(b - a) > STUDY_T_HIT_TOL):
+                problems.append(f"{kind} instance {i}: t_hit {b} (reference {a})")
+        for curve in ("median", "q1", "q3"):
+            a, b = (np.log(np.fmax(np.array(c[curve], dtype=float), STUDY_CURVE_FLOOR))
+                    for c in (ref, new))
+            if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+                problems.append(f"{kind} {curve}: grid or NaN cells differ")
+                continue
+            worst = float(np.nanmax(np.abs(b - a), initial=0.0))
+            if worst > math.log(STUDY_CURVE_FACTOR):
+                problems.append(f"{kind} {curve}: off by a factor {math.exp(worst):.3g} "
+                                f"(allowed {STUDY_CURVE_FACTOR})")
+    return problems
+
+
+def write_study_reference(path=STUDY_REFERENCE) -> None:
+    """Run the seed-0 study of the acceptance suite and write its record."""
+    result = bench.run_benchmark(bench.BenchConfig(num_instances=200, seed=0),
+                                 keep_trajectories=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(study_reference(result), indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_study_reference()

@@ -200,6 +200,14 @@ def test_criterion_7_comparative_ordering(fig3_study):
                    + " (plain cost flow is the slowest)")
 
 
+def test_study_matches_the_seed0_reference(fig3_study):
+    # the tolerances are the STUDY_* constants in helpers.py
+    result, _ = fig3_study
+    reference = json.loads(helpers.STUDY_REFERENCE.read_text())
+    problems = helpers.study_mismatches(reference, helpers.study_reference(result))
+    assert not problems, "\n".join(problems[:20])
+
+
 def test_criterion_8_coercivity_and_boundary():
     sys_ = lqr_core.demo_system()
     ray = [bellman.bellman_error(sys_, [[0.0, -1.0 + 10.0 ** (-s)]]).e for s in range(1, 5)]

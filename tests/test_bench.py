@@ -1,7 +1,8 @@
-"""Benchmark harness: deterministic sampling, record invariants, and the
-2-d grid evaluator."""
+"""Benchmark harness: deterministic sampling, record invariants, the 2-d
+grid evaluator, and the study reference check."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -230,6 +231,38 @@ class TestBenchConfig:
     def test_rejects_unknown_flow(self):
         with pytest.raises(ValueError):
             BenchConfig(flows=("bellman", "newton"))
+
+    @pytest.mark.parametrize("name, value", [("num_instances", 2.5), ("n", 2.0),
+                                             ("m", True), ("seed", 1.5)])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError):
+            BenchConfig(**{name: value})
+
+
+class TestStudyReference:
+    """The study check itself, on the committed reference: it passes the
+    reference and fails a doctored copy."""
+
+    @pytest.fixture
+    def reference(self):
+        return json.loads(helpers.STUDY_REFERENCE.read_text())
+
+    def test_reference_passes_itself(self, reference):
+        assert helpers.study_mismatches(reference, reference) == []
+
+    def test_flipped_flag_fails(self, reference):
+        doctored = copy.deepcopy(reference)
+        flags = doctored["flows"]["natural"]["converged"]
+        flags[7] = not flags[7]
+        assert helpers.study_mismatches(reference, doctored) == [
+            f"natural instance 7: converged {flags[7]} (reference {not flags[7]})"]
+
+    def test_scaled_median_fails(self, reference):
+        doctored = copy.deepcopy(reference)
+        median = doctored["flows"]["bellman"]["median"]
+        doctored["flows"]["bellman"]["median"] = [10.0 * x for x in median]
+        problems = helpers.study_mismatches(reference, doctored)
+        assert len(problems) == 1 and problems[0].startswith("bellman median: off by a factor 10")
 
 
 class TestRunBenchmark:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gainflow import bench, cli, kernel, lqr_core, matlin
+from gainflow import bench, cli, flow, kernel, lqr_core, matlin
 from gainflow.errors import GainflowError
 
 DEMO = {
@@ -380,6 +380,15 @@ class TestBench:
         assert (d1 / "summary.json").read_bytes() != (d2 / "summary.json").read_bytes()
         assert (d2 / "summary.json").read_bytes() == (d3 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("data", [{"num_instances": 2.5}, {"n": 2.0}, {"m": True}])
+    def test_non_integer_count_exits_2(self, capsys, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(bench, "run_benchmark",
+                            lambda *args, **kwargs: pytest.fail("the study ran"))
+        cfg = self.write_config(tmp_path, data)
+        code, _, err = run(capsys, ["bench", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+
     def test_flows_subset_header(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, {"num_instances": 1, "seed": 8,
                                            "time_grid": [0.0, 5.0], "flows": ["bellman"]})
@@ -401,14 +410,119 @@ def test_unknown_subcommand_exits_2(capsys):
     ["grid", "--k1=-1:1:3", "--k2=-1:1:3", "--out"],
 ])
 def test_asymmetric_weights_exit_2(capsys, tmp_path, command):
-    path = tmp_path / "asymmetric.json"
-    path.write_text(json.dumps({**DEMO, "q": [1.0, 0.5, 0.0, 1.0]}))
-    argv = command[:1] + [str(path)] + command[1:]
-    if argv[-1] == "--out":
-        argv.append(str(tmp_path / "out.csv"))
-    code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, _argv(tmp_path, {**DEMO, "q": [1.0, 0.5, 0.0, 1.0]}, command))
     assert code == 2
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "InputError"
     assert error["message"].startswith("q asymmetry")
+
+
+def _argv(tmp_path, instance, command):
+    """command with an instance file written from instance after the
+    subcommand, and an output path after a trailing --out."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    argv = command[:1] + [str(path)] + command[1:]
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "out.csv"))
+    return argv
+
+
+@pytest.mark.parametrize("instance, command", [
+    (DEMO, ["care", "--k0", "inf,0"]),
+    (DEMO, ["eval", "--k", "nan,0"]),
+    (DEMO, ["flow", "--kind", "bellman", "--k0", "nan,0", "--out"]),
+    (DEMO, ["grid", "--k1=nan:1:3", "--k2=-1:1:3", "--out"]),
+    (DEMO, ["grid", "--k1=-1:1:3", "--k2=-1:inf:3", "--out"]),
+    ({**DEMO, "k0": [math.nan, 0.0]}, ["flow", "--kind", "bellman", "--out"]),
+])
+def test_non_finite_gain_exits_2(capsys, tmp_path, instance, command):
+    code, out, err = run(capsys, _argv(tmp_path, instance, command))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("instance", [
+    {**DEMO, "n": 2.5},
+    {**DEMO, "m": 1.0},
+    {**SCALAR, "n": True, "m": True},
+    {**DEMO, "a": [None, 1.0, 0.0, -1.0]},
+])
+def test_malformed_instance_exits_2(capsys, tmp_path, instance):
+    k = ",".join(["0"] * len(instance["b"]))
+    code, out, err = run(capsys, _argv(tmp_path, instance, ["eval", "--k", k]))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+def _csv_cells(path):
+    """(header, rows of cell text) of a CSV the CLI wrote, after checking
+    that its lines end in LF and the file in exactly one newline."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    header, *rows = data.decode("utf-8")[:-1].split("\n")
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def _assert_bitwise(texts, values):
+    """Each cell text parses to exactly the float64 value, NaN to NaN."""
+    got = np.array([float(x) for x in texts])
+    want = np.asarray(values, dtype=float).ravel()
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+class TestCsvFormat:
+    """Every CSV cell reads back bitwise as the library's value."""
+
+    def test_flow(self, capsys, demo_path, tmp_path):
+        out_csv = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, ["flow", demo_path, "--kind", "bellman", "--k0", "0,0",
+                                  "--out", str(out_csv)])
+        assert code == 0
+        sys_, _ = cli.load_instance(demo_path)
+        samples = flow.integrate(sys_, [[0.0, 0.0]], flow.FlowConfig(kind="bellman")).samples
+        header, rows = _csv_cells(out_csv)
+        assert header == ["t", "k_11", "k_12", "objective", "grad_norm", "abscissa"]
+        assert len(rows) == len(samples)
+        _assert_bitwise([cell for row in rows for cell in row],
+                        [(s.t, *s.k.ravel(), s.objective, s.grad_norm, s.abscissa)
+                         for s in samples])
+
+    @pytest.mark.parametrize("objective", ["bellman", "lqr"])
+    def test_grid(self, capsys, demo_path, tmp_path, objective):
+        out_csv = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, ["grid", demo_path, "--objective", objective,
+                                  "--k1=-3:3:13", "--k2=-3:3:13", "--out", str(out_csv)])
+        assert code == 0
+        sys_, _ = cli.load_instance(demo_path)
+        result = bench.grid_eval(sys_, (-3.0, 3.0), (-3.0, 3.0), 13, objective=objective)
+        header, rows = _csv_cells(out_csv)
+        assert header == ["k1", "k2", "value", "stable"]
+        k1, k2, values, stable = zip(*rows)
+        _assert_bitwise(k1, np.repeat(result.k1, 13))
+        _assert_bitwise(k2, np.tile(result.k2, 13))
+        _assert_bitwise(values, result.values)
+        assert np.isnan(result.values).any()  # the boundary cells read nan
+        assert list(stable) == ["1" if bit else "0" for bit in result.stable.ravel()]
+
+    def test_bench(self, capsys, tmp_path):
+        config = {"num_instances": 2, "seed": 3, "time_grid": [0.0, 2.0, 4.0, 6.0]}
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config))
+        code, _, _ = run(capsys, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        records = bench.run_benchmark(bench.BenchConfig(**config)).records
+        for record in records:
+            header, rows = _csv_cells(tmp_path / "o" / f"instance_{record.instance_id:04d}.csv")
+            assert header == ["t", "rho_bellman", "rho_lqr", "rho_natural"]
+            columns = list(zip(*rows))
+            _assert_bitwise(columns[0], config["time_grid"])
+            for kind, column in zip(("bellman", "lqr", "natural"), columns[1:]):
+                _assert_bitwise(column, record.curves[kind])

@@ -38,7 +38,7 @@ class TestLqrCost:
         for _ in range(50):
             sys_, k = helpers.stabilizing_pair(rng, 3, 1, identity_weights=False)
             ce = cost_flow.lqr_cost(sys_, k)
-            a_k = lqr_core.closed_loop(sys_, k)
+            a_k = sys_.a - sys_.b @ k
             residual = np.linalg.norm(a_k @ ce.y_matrix + ce.y_matrix @ a_k.T + np.eye(3))
             assert residual <= 1e-9 * (1.0 + np.linalg.norm(ce.y_matrix))
             assert matlin.min_eig_sym(ce.y_matrix) > 1e-12
@@ -47,6 +47,19 @@ class TestLqrCost:
         ce = cost_flow.lqr_cost(scalar_sys, [[0.0]], sigma0=[[2.0]])
         assert abs(ce.f - 1.0) < 1e-14  # tr(P * 2) = 2 * 1/2
         assert abs(ce.y_matrix[0, 0] - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("sigma0, message", [
+        ([[1.0, 0.0]], "sigma0 must be 2 x 2"),
+        (np.eye(3), "sigma0 must be 2 x 2"),
+        ([[1.0, 0.0], [0.0, -1.0]], "sigma0 must be positive semidefinite"),
+    ])
+    def test_sigma0_checks(self, demo_sys, sigma0, message):
+        with pytest.raises(ValueError, match=message):
+            cost_flow.lqr_cost(demo_sys, [[0.0, 0.0]], sigma0=sigma0)
+
+    def test_sigma0_symmetric_part(self, demo_sys):
+        skewed = cost_flow.lqr_cost(demo_sys, [[0.0, 0.0]], sigma0=[[1.0, 0.4], [0.0, 1.0]])
+        assert np.array_equal(skewed.sigma0, [[1.0, 0.2], [0.2, 1.0]])
 
 
 class TestLqrGradient:

@@ -152,14 +152,6 @@ class TestIntegrate:
         with pytest.raises(NotStabilizing):
             flow.integrate(demo_sys, [[0.0, -2.0]], FlowConfig(kind="bellman"))
 
-    def test_record_stride_thins_output(self, demo_sys):
-        full = flow.integrate(demo_sys, [[0.0, 0.0]], FlowConfig(kind="bellman"))
-        thin = flow.integrate(demo_sys, [[0.0, 0.0]], FlowConfig(kind="bellman", record_stride=5))
-        assert len(thin.samples) < len(full.samples)
-        assert np.allclose(thin.k_final, full.k_final)
-        # the final accepted state is always recorded
-        assert np.array_equal(thin.samples[-1].k, thin.k_final)
-
     def test_step_budget_exhaustion_is_step_failure(self, demo_sys):
         traj = flow.integrate(demo_sys, [[0.0, 0.0]],
                               FlowConfig(kind="bellman", max_steps=3, grad_tol=1e-14))

@@ -68,17 +68,6 @@ class TestCheckAssumptions:
 
 
 class TestClosedLoopAndSets:
-    def test_zero_gain(self, demo_sys):
-        assert np.array_equal(lqr_core.closed_loop(demo_sys, [[0.0, 0.0]]), demo_sys.a)
-
-    def test_symbolic_expansion(self, demo_sys):
-        k1, k2 = 0.7, -0.3
-        expected = np.array([[-2.0 - k1, 1.0 - k2], [-k1, -1.0 - k2]])
-        assert np.allclose(lqr_core.closed_loop(demo_sys, [[k1, k2]]), expected, atol=1e-15)
-
-    def test_scalar(self, scalar_sys):
-        assert lqr_core.closed_loop(scalar_sys, [[0.5]])[0, 0] == -1.5
-
     def test_demo_origin_in_k(self, demo_sys):
         assert lqr_core.in_stabilizing_set(demo_sys, [[0.0, 0.0]])
         assert lqr_core.in_sigma_set(demo_sys, [[0.0, 0.0]])
@@ -195,7 +184,7 @@ class TestKleinman:
 
 def test_demo_optimal_loop_is_stable(demo_sys):
     k_star = lqr_core.kleinman(demo_sys, [[0.0, 0.0]]).k_star
-    assert matlin.spectrum(lqr_core.closed_loop(demo_sys, k_star)).abscissa < 0.0
+    assert matlin.spectrum(demo_sys.a - demo_sys.b @ k_star).abscissa < 0.0
 
 
 def test_lyapunov_solve_matches_kron_formula(rng):
